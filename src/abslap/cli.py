@@ -34,8 +34,9 @@ def _float_list(value: str) -> list[float]:
 
 
 def _add_common(parser: argparse.ArgumentParser, many_n: bool) -> None:
-    n_type = _int_list if many_n else _power_of_two_minus_one
-    parser.add_argument("--n", type=n_type, default=None,
+    # either way args.n is a list of grid sizes
+    parser.add_argument("--n", type=_int_list if many_n else _power_of_two_minus_one,
+                        nargs=None if many_n else 1,
                         help="interior grid points per dimension, 2^k - 1"
                              + ("; comma separated list" if many_n else ""))
     parser.add_argument("--alpha", type=_float_list, default=None,
@@ -73,27 +74,15 @@ def _default_precond(args) -> str:
     return "ideal" if args.coef == "const" else "averaged"
 
 
-def _cmd_solve(args) -> int:
+def _cmd_run(args) -> int:
+    """solve and bench; solve runs one shift, the coefficient's first default if none is given."""
     coefficient_name = COEF_CHOICES[args.coef]
     shifts = _shifts_from_args(args, coefficient_name)
-    if len(shifts) != 1:
-        raise SystemExit("solve takes exactly one shift; use bench for sweeps")
-    n = args.n if args.n is not None else 63
-    spec = ExperimentSpec(grid_sizes=(n,), shifts=tuple(shifts),
-                          coefficient=coefficient_name,
-                          preconditioner=_default_precond(args),
-                          tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-                          verify_spectrum_up_to=args.verify_spectrum_up_to)
-    rows = run_experiment(spec)
-    _emit(emit_report(rows, args.format or "text_table"), args.out)
-    return 0 if all_clear(rows) else 1
-
-
-def _cmd_bench(args) -> int:
-    coefficient_name = COEF_CHOICES[args.coef]
-    shifts = _shifts_from_args(args, coefficient_name)
-    sizes = args.n if args.n is not None else [15, 31, 63]
-    spec = ExperimentSpec(grid_sizes=tuple(sizes), shifts=tuple(shifts),
+    if args.one_shift:
+        if args.alpha is not None and len(shifts) != 1:
+            raise SystemExit("solve takes exactly one shift; use bench for sweeps")
+        shifts = shifts[:1]
+    spec = ExperimentSpec(grid_sizes=tuple(args.n), shifts=tuple(shifts),
                           coefficient=coefficient_name,
                           preconditioner=_default_precond(args),
                           tol=args.tol, max_iter=args.max_iter, seed=args.seed,
@@ -107,10 +96,9 @@ def _cmd_verify(args) -> int:
     coefficient_name = COEF_CHOICES[args.coef]
     coefficient = coefficient_from_spec(coefficient_name)
     shifts = _shifts_from_args(args, coefficient_name)
-    sizes = args.n if args.n is not None else [3, 7, 15]
     payloads = []
     ok = True
-    for n in sizes:
+    for n in args.n:
         grid = GridSpec(n, 2)
         for alpha, beta in shifts:
             shift = Shift(alpha, beta)
@@ -159,12 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iter", type=int, default=2000)
         p.add_argument("--seed", type=int, default=20260822)
         p.add_argument("--verify-spectrum-up-to", type=int, default=0,
-                       help="densely verify the spectrum for rows with n up to this")
+                       help="densely verify the spectrum for rows with n up to this "
+                            "(rows above n=31 are skipped)")
     _add_common(verify, many_n=True)
 
-    solve.set_defaults(func=_cmd_solve)
-    bench.set_defaults(func=_cmd_bench)
-    verify.set_defaults(func=_cmd_verify)
+    solve.set_defaults(func=_cmd_run, n=[63], one_shift=True)
+    bench.set_defaults(func=_cmd_run, n=[15, 31, 63], one_shift=False)
+    verify.set_defaults(func=_cmd_verify, n=[3, 7, 15])
     return parser
 
 

@@ -1,11 +1,12 @@
-"""Orthonormal discrete sine transform (DST-I) in one and two dimensions.
+"""Orthonormal two-dimensional discrete sine transform (DST-I).
 
 The length-n transform matrix has entries sqrt(2/(n+1)) sin(jk pi/(n+1)),
 j, k = 1..n.  With this normalization it is symmetric and orthogonal, hence
 its own inverse, and a single code path serves forward and backward
-transforms.  It diagonalizes the constant-coefficient Dirichlet Laplacian:
-in 1D the eigenvalue of mode p is (4/h^2) sin^2(p pi h / 2) with
-h = 1/(n+1), and in 2D modes combine additively.
+transforms.  Applied along both axes it diagonalizes the
+constant-coefficient Dirichlet Laplacian on the unit square: along one axis
+the eigenvalue of mode p is (4/h^2) sin^2(p pi h / 2) with h = 1/(n+1),
+and the two axes' modes combine additively.
 
 Two evaluation routes are kept deliberately separate so they can check each
 other: a fast path that embeds the transform into a real FFT of length
@@ -44,29 +45,22 @@ def _dst1_last_axis(x: np.ndarray) -> np.ndarray:
 
 
 class SineTransform:
-    """Involutory DST-I plan on n points per dimension.
+    """Involutory 2D DST-I plan on an n-by-n grid, acting on flat vectors.
 
     apply() uses the FFT embedding; apply_reference() multiplies by the
     dense transform matrix one axis at a time and exists as the independent
     slow route for tests.
     """
 
-    def __init__(self, n: int, dim: int = 1):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"transform size must be >= 1, got {n}")
-        if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
         self.n = n
-        self.dim = dim
         self._matrix = None
 
     @property
-    def normalization(self) -> float:
-        return math.sqrt(2.0 / (self.n + 1))
-
-    @property
     def size(self) -> int:
-        return self.n ** self.dim
+        return self.n * self.n
 
     def matrix(self) -> np.ndarray:
         """Cached dense one-dimensional transform matrix."""
@@ -84,8 +78,6 @@ class SineTransform:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = self._check(v)
-        if self.dim == 1:
-            return _dst1_last_axis(v)
         x = v.reshape(self.n, self.n)
         x = _dst1_last_axis(x)
         x = _dst1_last_axis(x.T).T
@@ -94,20 +86,8 @@ class SineTransform:
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
         v = self._check(v)
         s = self.matrix()
-        if self.dim == 1:
-            return s @ v
         x = v.reshape(self.n, self.n)
         return (s @ x @ s).ravel()
-
-
-def dst_apply(transform: SineTransform, v: np.ndarray) -> np.ndarray:
-    """Fast-path transform of a flat vector of length n**dim."""
-    return transform.apply(v)
-
-
-def dst_apply_reference(transform: SineTransform, v: np.ndarray) -> np.ndarray:
-    """Reference O(n^2)-per-axis transform of the same vector."""
-    return transform.apply_reference(v)
 
 
 def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
@@ -119,6 +99,4 @@ def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     h = grid.h
     p = np.arange(1, grid.n + 1)
     lam1 = (4.0 / h ** 2) * np.sin(0.5 * math.pi * h * p) ** 2
-    if grid.dim == 1:
-        return lam1
     return (lam1[:, None] + lam1[None, :]).ravel()

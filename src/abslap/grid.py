@@ -1,27 +1,24 @@
 """Uniform Dirichlet grids and five-point finite difference operators.
 
-The domain is the open unit interval or unit square with homogeneous
-Dirichlet boundary conditions, discretized on n interior points per
-dimension with mesh width h = 1/(n+1).  Operators carry the 1/h^2 scaling
-of the continuous problem, so eigenvalues approach those of -div(a grad .)
-as the grid is refined.  Variable coefficients are sampled at edge
-midpoints, which keeps the assembled operator symmetric and preserves the
-a_min * L <= K <= a_max * L ordering against the constant-coefficient
-Laplacian L.
+The domain is the open unit square with homogeneous Dirichlet boundary
+conditions, discretized on n interior points per dimension with mesh width
+h = 1/(n+1).  Operators carry the 1/h^2 scaling of the continuous problem,
+so eigenvalues approach those of -div(a grad .) as the grid is refined.
+Variable coefficients are sampled at edge midpoints, which keeps the
+assembled operator symmetric and preserves the a_min * L <= K <= a_max * L
+ordering against the constant-coefficient Laplacian L.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-# Hard caps for dense materialization; above these the quadratic storage is
-# no longer desk-scale.
-DENSE_CAP_1D = 512
+# Hard cap for dense materialization; above it the quadratic storage is no
+# longer desk-scale.
 DENSE_CAP_2D = 63
 
 KIND_CONSTANT = "constant_laplacian"
@@ -30,7 +27,10 @@ KIND_VARIABLE = "variable_laplacian"
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform tensor grid: n interior points per dimension, h = 1/(n+1)."""
+    """Uniform grid on the unit square: n interior points per dimension, h = 1/(n+1).
+
+    dim is fixed at 2; it stays a field so callers can state it.
+    """
 
     n: int
     dim: int = 2
@@ -38,8 +38,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one interior point, got n={self.n}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if self.dim != 2:
+            raise ValueError(f"only the unit square is supported (dim=2), got dim={self.dim}")
 
     @property
     def h(self) -> float:
@@ -47,8 +47,8 @@ class GridSpec:
 
     @property
     def m(self) -> int:
-        """Number of scalar unknowns, n**dim."""
-        return self.n ** self.dim
+        """Number of scalar unknowns, n**2."""
+        return self.n * self.n
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,6 @@ class StencilOperator:
         u = np.asarray(u, dtype=float)
         if u.shape != (g.m,):
             raise ValueError(f"expected vector of length {g.m}, got shape {u.shape}")
-        if g.dim == 1:
-            out = 2.0 * u
-            out[:-1] -= u[1:]
-            out[1:] -= u[:-1]
-            return out * self.scale
         v = u.reshape(g.n, g.n)
         if self.kind == KIND_CONSTANT:
             out = 4.0 * v
@@ -147,15 +142,10 @@ class StencilOperator:
         return out.ravel() * self.scale
 
     def dense(self) -> np.ndarray:
-        """Materialize the full m-by-m matrix.  Guarded by size caps."""
+        """Materialize the full m-by-m matrix.  Guarded by the dense cap."""
         g = self.grid
-        if g.dim == 1 and g.n > DENSE_CAP_1D:
-            raise ValueError(f"dense 1D operator capped at n={DENSE_CAP_1D}, got {g.n}")
-        if g.dim == 2 and g.n > DENSE_CAP_2D:
-            raise ValueError(f"dense 2D operator capped at n={DENSE_CAP_2D}, got {g.n}")
-        if g.dim == 1:
-            t = 2.0 * np.eye(g.n) - np.eye(g.n, k=1) - np.eye(g.n, k=-1)
-            return t * self.scale
+        if g.n > DENSE_CAP_2D:
+            raise ValueError(f"dense operator capped at n={DENSE_CAP_2D}, got {g.n}")
         if self.kind == KIND_CONSTANT:
             t = 2.0 * np.eye(g.n) - np.eye(g.n, k=1) - np.eye(g.n, k=-1)
             eye = np.eye(g.n)
@@ -176,17 +166,8 @@ class StencilOperator:
         return a * self.scale
 
 
-def assemble_laplacian_1d(grid: GridSpec) -> StencilOperator:
-    """Second-difference operator tridiag(-1, 2, -1)/h^2 on the unit interval."""
-    if grid.dim != 1:
-        raise ValueError(f"1D assembly needs a 1D grid, got dim={grid.dim}")
-    return StencilOperator(grid, KIND_CONSTANT)
-
-
 def assemble_laplacian_2d_constant(grid: GridSpec) -> StencilOperator:
     """Five-point Laplacian on the unit square, L = L1 x I + I x L1 scaled by 1/h^2."""
-    if grid.dim != 2:
-        raise ValueError(f"2D assembly needs a 2D grid, got dim={grid.dim}")
     return StencilOperator(grid, KIND_CONSTANT)
 
 
@@ -197,8 +178,6 @@ def assemble_laplacian_2d_variable(grid: GridSpec, coefficient: CoefficientField
     The edge between (i, j) and its neighbor in the first coordinate carries
     a((i+1/2)h, (j+1)h); analogously in the second coordinate.
     """
-    if grid.dim != 2:
-        raise ValueError(f"2D assembly needs a 2D grid, got dim={grid.dim}")
     n, h = grid.n, grid.h
     centers = (np.arange(n) + 1.0) * h
     half = (np.arange(n + 1) + 0.5) * h
@@ -225,30 +204,5 @@ def smallest_laplacian_eigenvalue(grid: GridSpec) -> float:
     tensor structure sums one such term per dimension.
     """
     h = grid.h
-    return grid.dim * (4.0 / h ** 2) * math.sin(0.5 * math.pi * h) ** 2
+    return 2.0 * (4.0 / h ** 2) * math.sin(0.5 * math.pi * h) ** 2
 
-
-def export_dense(op: StencilOperator, basepath: str) -> None:
-    """Write the dense operator as column-major float64 plus a JSON header.
-
-    Produces <basepath>.bin (Fortran-order raw doubles) and <basepath>.json
-    with fields n, dim, kind.
-    """
-    a = op.dense()
-    with open(f"{basepath}.bin", "wb") as fh:
-        fh.write(np.asfortranarray(a).tobytes(order="F"))
-    header = {"n": op.grid.n, "dim": op.grid.dim, "kind": op.kind}
-    with open(f"{basepath}.json", "w") as fh:
-        json.dump(header, fh)
-        fh.write("\n")
-
-
-def load_dense(basepath: str):
-    """Read back an export_dense pair, returning (header dict, matrix)."""
-    with open(f"{basepath}.json") as fh:
-        header = json.load(fh)
-    m = header["n"] ** header["dim"]
-    raw = np.fromfile(f"{basepath}.bin", dtype=np.float64)
-    if raw.size != m * m:
-        raise ValueError(f"expected {m * m} entries in {basepath}.bin, got {raw.size}")
-    return header, raw.reshape((m, m), order="F")

@@ -22,7 +22,6 @@ import numpy as np
 class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 1000
-    record_history: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
@@ -124,11 +123,7 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
 
     residual = rhs - apply_a(x)
     true_rel = float(np.linalg.norm(residual) / np.linalg.norm(rhs))
-    if config.record_history:
-        hist = np.asarray(history)
-    else:
-        hist = np.asarray([history[0], history[-1]])
-    report = SolveReport(iterations, converged, hist, true_rel,
+    report = SolveReport(iterations, converged, np.asarray(history), true_rel,
                          time.perf_counter() - start)
     return x, report
 

@@ -21,8 +21,6 @@ from .dst import SineTransform, laplacian_eigenvalues
 from .grid import DENSE_CAP_2D, CoefficientField, GridSpec
 from .saddle import Shift
 
-ALLOWED_EXPONENTS = (-1.0, -0.5, 0.5, 1.0)
-
 
 class SpectralPreconditioner:
     """Block-diagonal operator W diag(weights) W per half, W the 2D DST."""
@@ -32,46 +30,32 @@ class SpectralPreconditioner:
         self.shift = shift
         self.weights = weights
         self.gamma = gamma
-        self.transform = SineTransform(grid.n, grid.dim)
+        self.transform = SineTransform(grid.n)
         self.m = grid.m
 
-    def _apply_weighted(self, w: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def apply_inverse(self, w: np.ndarray) -> np.ndarray:
+        """Apply P^-1 to a stacked vector, one transform pair per block half."""
         w = np.asarray(w, dtype=float)
         if w.shape != (2 * self.m,):
             raise ValueError(
                 f"expected stacked vector of length {2 * self.m}, got shape {w.shape}"
             )
         t = self.transform
+        weights = 1.0 / self.weights
         top = t.apply(weights * t.apply(w[:self.m]))
         bot = t.apply(weights * t.apply(w[self.m:]))
         return np.concatenate([top, bot])
-
-    def apply_power(self, w: np.ndarray, exponent: float) -> np.ndarray:
-        """Apply the preconditioner raised to exponent in {-1, -1/2, 1/2, 1}."""
-        if exponent not in ALLOWED_EXPONENTS:
-            raise ValueError(f"exponent must be one of {ALLOWED_EXPONENTS}, got {exponent}")
-        return self._apply_weighted(w, self.weights ** exponent)
-
-    def apply_inverse(self, w: np.ndarray) -> np.ndarray:
-        return self._apply_weighted(w, 1.0 / self.weights)
-
-    def apply_forward(self, w: np.ndarray) -> np.ndarray:
-        return self._apply_weighted(w, self.weights)
 
     def materialize_block(self, exponent: float = 1.0) -> np.ndarray:
         """Dense m-by-m matrix of one diagonal block at the given power.
 
         Uses the reference transform matrix, so this is the slow route;
-        guarded by the 2D dense cap.
+        guarded by the dense cap.
         """
-        if self.grid.dim == 2 and self.grid.n > DENSE_CAP_2D:
-            raise ValueError(
-                f"dense block capped at n={DENSE_CAP_2D} in 2D, got {self.grid.n}"
-            )
+        if self.grid.n > DENSE_CAP_2D:
+            raise ValueError(f"dense block capped at n={DENSE_CAP_2D}, got {self.grid.n}")
         s = self.transform.matrix()
         d = self.weights ** exponent
-        if self.grid.dim == 1:
-            return (s * d) @ s
         w2 = np.kron(s, s)
         return (w2 * d) @ w2
 
@@ -103,14 +87,4 @@ def build_ideal(grid: GridSpec, shift: Shift) -> SpectralPreconditioner:
 
 def build_averaged(grid: GridSpec, coefficient: CoefficientField, shift: Shift) -> SpectralPreconditioner:
     """Averaged preconditioner: K replaced by gamma L, gamma = sqrt(a_min a_max)."""
-    if grid.dim != 2:
-        raise ValueError(f"averaged preconditioner is built on 2D grids, got dim={grid.dim}")
     return _build(grid, shift, coefficient.gamma)
-
-
-def apply_inverse(p: SpectralPreconditioner, w: np.ndarray) -> np.ndarray:
-    return p.apply_inverse(w)
-
-
-def apply_power(p: SpectralPreconditioner, w: np.ndarray, exponent: float) -> np.ndarray:
-    return p.apply_power(w, exponent)

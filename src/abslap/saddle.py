@@ -59,11 +59,6 @@ class SaddleOperator:
         return np.block([[beta * eye, shifted], [shifted, -beta * eye]])
 
 
-def apply_saddle(operator: SaddleOperator, v: np.ndarray) -> np.ndarray:
-    """One matrix-free block apply, O(m) plus two stencil applies."""
-    return operator.apply(v)
-
-
 def complex_to_real(f: np.ndarray) -> np.ndarray:
     """Stack a complex vector as (real part; imaginary part)."""
     f = np.asarray(f)

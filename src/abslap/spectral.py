@@ -20,7 +20,6 @@ Three pieces of machinery live here:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -177,8 +176,8 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     """Dense check that the preconditioned spectrum sits in the certified intervals.
 
     Computes the eigenvalues of the symmetric P^(-1/2) A P^(-1/2) and
-    measures the distance of each to the interval union.  Capped at n <= 31
-    in 2D; the similarity keeps the computation symmetric throughout.
+    measures the distance of each to the interval union.  Capped at n <= 31;
+    the similarity keeps the computation symmetric throughout.
 
     For a coefficient with a_min == a_max the averaged operator reproduces
     the diffusion operator exactly, the preconditioner is the exact block
@@ -189,8 +188,6 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     the interval carries no proof: containment is still measured but the
     certificate is marked uncertified.
     """
-    if grid.dim != 2:
-        raise ValueError(f"spectrum verification runs on 2D grids, got dim={grid.dim}")
     if grid.n > VERIFY_CAP_2D:
         raise ValueError(f"dense verification capped at n={VERIFY_CAP_2D}, got {grid.n}")
 
@@ -289,7 +286,3 @@ def certificate_payload(grid: GridSpec, shift: Shift, cert: SpectrumCertificate)
         "all_inside": cert.all_inside,
         "max_violation": cert.max_violation,
     }
-
-
-def certificate_to_json(grid: GridSpec, shift: Shift, cert: SpectrumCertificate) -> str:
-    return json.dumps(certificate_payload(grid, shift, cert), indent=2)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from abslap.bench import CSV_HEADER, DEFAULT_VARIABLE_SHIFTS
+from abslap.bench import CSV_HEADER, DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS
 from abslap.cli import main
 
 
@@ -17,6 +17,26 @@ def test_solve_json_two_iterations(capsys):
     assert payload[0]["n"] == 15
     assert payload[0]["iterations"] == 2
     assert payload[0]["bound_iterations"] == 2
+
+
+def test_solve_without_shift_uses_first_default(capsys):
+    for coef, defaults in (("const", DEFAULT_CONSTANT_SHIFTS), ("example2", DEFAULT_VARIABLE_SHIFTS)):
+        code = main(["solve", "--coef", coef, "--n", "15", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [(row["n"], row["alpha"], row["beta"]) for row in payload] == [(15, *defaults[0])]
+
+
+def test_solve_verification_above_cap_is_skipped(capsys):
+    # dense verification stops at n=31; a larger converged row is not an error
+    code = main(["solve", "--n", "63", "--alpha", "100", "--beta", "100",
+                 "--verify-spectrum-up-to", "63", "--format", "json"])
+    row = json.loads(capsys.readouterr().out)[0]
+    assert code == 0
+    assert "error" not in row
+    assert row["iterations"] == 2
+    assert row["spectrum_verdict"] == "skipped"
+    assert row["wall_time"] > 0.0
 
 
 def test_solve_default_format_is_text_table(capsys):
@@ -107,7 +127,7 @@ def test_rejects_mismatched_shift_lists():
 
 def test_solve_rejects_shift_sweeps():
     with pytest.raises(SystemExit) as err:
-        main(["solve", "--n", "7"])
+        main(["solve", "--n", "7", "--alpha", "1,2", "--beta", "3,4"])
     assert "exactly one shift" in str(err.value.code)
 
 

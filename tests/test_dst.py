@@ -5,19 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from abslap.dst import (
-    SineTransform,
-    dst_apply,
-    dst_apply_reference,
-    laplacian_eigenvalues,
-    sine_matrix,
-)
-from abslap.grid import (
-    GridSpec,
-    assemble_laplacian_1d,
-    assemble_laplacian_2d_constant,
-    smallest_laplacian_eigenvalue,
-)
+from abslap.dst import SineTransform, laplacian_eigenvalues, sine_matrix
+from abslap.grid import GridSpec, assemble_laplacian_2d_constant, smallest_laplacian_eigenvalue
 
 
 def test_matrix_symmetric_and_involutory():
@@ -28,58 +17,53 @@ def test_matrix_symmetric_and_involutory():
 
 
 def test_normalization_and_size():
-    t = SineTransform(7, 2)
-    assert t.normalization == pytest.approx(math.sqrt(2.0 / 8.0))
-    assert t.size == 49
-    assert SineTransform(7, 1).size == 7
+    # entry (1, 4) of the order-7 matrix is the normalization times sin(pi/2)
+    assert sine_matrix(7)[0, 3] == pytest.approx(math.sqrt(2.0 / 8.0))
+    assert SineTransform(7).size == 49
 
 
 def test_unit_vector_value():
-    t = SineTransform(3, 1)
-    out = t.apply(np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out, [0.5, math.sqrt(2.0) / 2.0, 0.5], rtol=0, atol=1e-14)
+    # the corner unit vector maps to the outer square of the first column
+    t = SineTransform(3)
+    e = np.zeros(9)
+    e[0] = 1.0
+    column = np.array([0.5, math.sqrt(2.0) / 2.0, 0.5])
+    np.testing.assert_allclose(t.apply(e), np.outer(column, column).ravel(),
+                               rtol=0, atol=1e-14)
 
 
 def test_zero_maps_to_zero():
-    for dim in (1, 2):
-        t = SineTransform(5, dim)
+    for n in (1, 5):
+        t = SineTransform(n)
         np.testing.assert_array_equal(t.apply(np.zeros(t.size)), np.zeros(t.size))
 
 
 def test_involution_on_random_vectors():
     rng = np.random.default_rng(42)
     for n in (1, 3, 7, 15, 31, 63, 127):
-        for dim in (1, 2):
-            t = SineTransform(n, dim)
-            for _ in range(5):
-                v = rng.standard_normal(t.size)
-                back = t.apply(t.apply(v))
-                assert np.abs(back - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
+        t = SineTransform(n)
+        for _ in range(5):
+            v = rng.standard_normal(t.size)
+            back = t.apply(t.apply(v))
+            assert np.abs(back - v).max() <= 1e-12 * max(1.0, np.abs(v).max())
 
 
 def test_fast_path_matches_reference():
     rng = np.random.default_rng(3)
     # non power-of-two-minus-one sizes exercise the generic embedding too
     for n in (1, 2, 3, 4, 7, 12, 15, 31, 63, 127):
-        t = SineTransform(n, 1)
-        for _ in range(3):
-            v = rng.standard_normal(n)
-            fast = dst_apply(t, v)
-            ref = dst_apply_reference(t, v)
-            assert np.linalg.norm(fast - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
-    for n in (1, 3, 7, 15):
-        t2 = SineTransform(n, 2)
+        t = SineTransform(n)
         for _ in range(3):
             v = rng.standard_normal(n * n)
-            fast = t2.apply(v)
-            ref = t2.apply_reference(v)
+            fast = t.apply(v)
+            ref = t.apply_reference(v)
             assert np.linalg.norm(fast - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
 def test_two_dimensional_action_is_tensor_square():
     # matrix() stays one-dimensional; the 2D action equals kron(s, s)
     n = 4
-    t2 = SineTransform(n, 2)
+    t2 = SineTransform(n)
     s = sine_matrix(n)
     assert t2.matrix().shape == (n, n)
     rng = np.random.default_rng(8)
@@ -88,12 +72,9 @@ def test_two_dimensional_action_is_tensor_square():
 
 
 def test_diagonalization_of_the_stencil():
-    for grid in (GridSpec(15, 1), GridSpec(7, 2)):
-        if grid.dim == 1:
-            op = assemble_laplacian_1d(grid)
-        else:
-            op = assemble_laplacian_2d_constant(grid)
-        t = SineTransform(grid.n, grid.dim)
+    for grid in (GridSpec(7, 2), GridSpec(15, 2)):
+        op = assemble_laplacian_2d_constant(grid)
+        t = SineTransform(grid.n)
         lam = laplacian_eigenvalues(grid)
         rng = np.random.default_rng(grid.n)
         for _ in range(5):
@@ -103,8 +84,9 @@ def test_diagonalization_of_the_stencil():
 
 
 def test_eigenvalue_examples():
-    lam1 = laplacian_eigenvalues(GridSpec(3, 1))
-    np.testing.assert_allclose(lam1, [9.3726, 32.0, 54.6274], atol=1e-4)
+    # diagonal modes (p, p) carry twice the one-axis eigenvalue
+    lam_diagonal = np.diag(laplacian_eigenvalues(GridSpec(3, 2)).reshape(3, 3)) / 2.0
+    np.testing.assert_allclose(lam_diagonal, [9.3726, 32.0, 54.6274], atol=1e-4)
 
     lam_single = laplacian_eigenvalues(GridSpec(1, 2))
     np.testing.assert_allclose(lam_single, [16.0], rtol=0, atol=1e-12)
@@ -120,16 +102,15 @@ def test_eigenvalue_examples():
 
 
 def test_length_mismatch_rejected():
-    t = SineTransform(5, 1)
+    t = SineTransform(3)
     with pytest.raises(ValueError):
-        t.apply(np.zeros(4))
-    t2 = SineTransform(3, 2)
+        t.apply(np.zeros(3))
     with pytest.raises(ValueError):
-        t2.apply(np.zeros(3))
+        t.apply(np.zeros(10))
 
 
 def test_invalid_construction():
     with pytest.raises(ValueError):
-        SineTransform(0, 1)
+        SineTransform(0)
     with pytest.raises(ValueError):
-        SineTransform(3, 3)
+        SineTransform(-3)

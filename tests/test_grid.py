@@ -1,6 +1,5 @@
 """Grid geometry, stencil assembly, and dense materialization checks."""
 
-import json
 import math
 
 import numpy as np
@@ -12,12 +11,9 @@ from abslap.grid import (
     KIND_VARIABLE,
     CoefficientField,
     GridSpec,
-    assemble_laplacian_1d,
     assemble_laplacian_2d_constant,
     assemble_laplacian_2d_variable,
     constant_coefficient,
-    export_dense,
-    load_dense,
     separable_quadratic_coefficient,
     smallest_laplacian_eigenvalue,
 )
@@ -25,17 +21,19 @@ from abslap.grid import (
 
 def test_grid_spec_mesh_width_and_unknown_count():
     for n in (1, 2, 3, 7, 63, 100):
-        for dim in (1, 2):
-            grid = GridSpec(n, dim)
-            assert abs(grid.h * (n + 1) - 1.0) <= 2.0 ** -52
-            assert grid.m == n ** dim
+        grid = GridSpec(n, 2)
+        assert abs(grid.h * (n + 1) - 1.0) <= 2.0 ** -52
+        assert grid.m == n ** 2
 
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(0, 2)
     with pytest.raises(ValueError):
-        GridSpec(-3, 1)
+        GridSpec(-3, 2)
+    # only the unit square is supported
+    with pytest.raises(ValueError):
+        GridSpec(4, 1)
     with pytest.raises(ValueError):
         GridSpec(4, 3)
 
@@ -64,28 +62,19 @@ def test_coefficient_fields():
         CoefficientField(lambda x1, x2: x1, a_min=2.0, a_max=1.0)
 
 
-def test_1d_stencil_unit_vectors():
-    op = assemble_laplacian_1d(GridSpec(3, 1))
-    assert op.kind == KIND_CONSTANT
-    np.testing.assert_allclose(op.apply(np.array([1.0, 0.0, 0.0])),
-                               [32.0, -16.0, 0.0], rtol=0, atol=1e-12)
-    single = assemble_laplacian_1d(GridSpec(1, 1))
-    np.testing.assert_allclose(single.apply(np.array([1.0])), [8.0], rtol=0, atol=1e-12)
-
-
-def test_1d_dense_eigenvalues_match_closed_form():
-    op = assemble_laplacian_1d(GridSpec(3, 1))
-    eigs = np.linalg.eigvalsh(op.dense())
-    expected = np.array([16.0 * (2.0 - math.sqrt(2.0)), 32.0,
-                         16.0 * (2.0 + math.sqrt(2.0))])
-    np.testing.assert_allclose(eigs, expected, rtol=1e-12)
-
-
 def test_2d_constant_stencil_structure():
     tiny = assemble_laplacian_2d_constant(GridSpec(1, 2))
     np.testing.assert_allclose(tiny.dense(), [[16.0]], rtol=0, atol=0)
+    np.testing.assert_allclose(tiny.apply(np.array([1.0])), [16.0], rtol=0, atol=1e-12)
 
     op = assemble_laplacian_2d_constant(GridSpec(3, 2))
+    assert op.kind == KIND_CONSTANT
+    # corner unit vector: 4/h^2 on itself, -1/h^2 on its two neighbors
+    corner = np.zeros(9)
+    corner[0] = 1.0
+    np.testing.assert_allclose(op.apply(corner).reshape(3, 3),
+                               [[64.0, -16.0, 0.0], [-16.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                               rtol=0, atol=1e-12)
     dense = op.dense()
     h = GridSpec(3, 2).h
     np.testing.assert_allclose(np.diag(dense), np.full(9, 4.0 / h ** 2), rtol=1e-15)
@@ -103,7 +92,7 @@ def test_2d_smallest_eigenvalue_matches_dense():
 
 
 def test_smallest_eigenvalue_examples():
-    assert smallest_laplacian_eigenvalue(GridSpec(1, 1)) == pytest.approx(8.0, abs=1e-12)
+    assert smallest_laplacian_eigenvalue(GridSpec(1, 2)) == pytest.approx(16.0, abs=1e-12)
     assert smallest_laplacian_eigenvalue(GridSpec(63, 2)) == pytest.approx(19.73525, abs=1e-4)
     # approaches 2 pi^2 from below as the grid refines
     assert smallest_laplacian_eigenvalue(GridSpec(511, 2)) < 2.0 * math.pi ** 2
@@ -181,7 +170,7 @@ def test_transform_diagonalizes_constant_operator():
     for n in (3, 7, 15):
         grid = GridSpec(n, 2)
         dense = assemble_laplacian_2d_constant(grid).dense()
-        s1 = SineTransform(n, 2).matrix()
+        s1 = SineTransform(n).matrix()
         w = np.kron(s1, s1)
         diag = w @ dense @ w
         lam = laplacian_eigenvalues(grid)
@@ -193,8 +182,6 @@ def test_transform_diagonalizes_constant_operator():
 def test_dense_materialization_caps():
     with pytest.raises(ValueError):
         assemble_laplacian_2d_constant(GridSpec(64, 2)).dense()
-    with pytest.raises(ValueError):
-        assemble_laplacian_1d(GridSpec(513, 1)).dense()
     # matrix-free application has no such cap
     big = assemble_laplacian_2d_constant(GridSpec(64, 2))
     out = big.apply(np.ones(64 * 64))
@@ -209,21 +196,3 @@ def test_coefficient_sample_validation():
     with pytest.raises(ValueError):
         assemble_laplacian_2d_variable(grid, liar)
 
-
-def test_dense_export_round_trip(tmp_path):
-    grid = GridSpec(3, 2)
-    op = assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())
-    base = str(tmp_path / "kmat")
-    export_dense(op, base)
-
-    with open(base + ".json") as fh:
-        header = json.load(fh)
-    assert header == {"n": 3, "dim": 2, "kind": KIND_VARIABLE}
-
-    loaded_header, dense = load_dense(base)
-    assert loaded_header == header
-    np.testing.assert_allclose(dense, op.dense(), rtol=0, atol=0)
-
-    # the payload is column-major float64 on disk
-    raw = np.fromfile(base + ".bin", dtype=np.float64)
-    np.testing.assert_allclose(raw.reshape((9, 9), order="F"), op.dense(), rtol=0, atol=0)

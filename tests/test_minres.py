@@ -75,20 +75,6 @@ def test_history_monotone_and_convergence_flag():
     assert report.wall_time >= 0.0
 
 
-def test_record_history_off_keeps_endpoints():
-    grid = GridSpec(15, 2)
-    shift = Shift(100.0, 100.0)
-    k_op = assemble_laplacian_2d_constant(grid)
-    p = build_ideal(grid, shift)
-    _, rhs = generate_rhs(grid, k_op, shift, seed=5)
-    op = SaddleOperator(k_op, shift)
-    _, report = minres_solve(op.apply, p.apply_inverse, saddle_rhs(rhs),
-                             SolverConfig(tol=1e-8, max_iter=50, record_history=False))
-    assert report.converged
-    assert len(report.residual_history) == 2
-    assert report.residual_history[-1] <= 1e-8 * report.residual_history[0]
-
-
 def test_non_positive_preconditioner_is_a_breakdown():
     rhs = np.ones(4)
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from abslap.grid import (
     GridSpec,
-    assemble_laplacian_1d,
     assemble_laplacian_2d_constant,
     assemble_laplacian_2d_variable,
     separable_quadratic_coefficient,
@@ -14,7 +13,6 @@ from abslap.saddle import (
     SaddleOperator,
     Shift,
     apply_complex_shifted,
-    apply_saddle,
     complex_to_real,
     real_to_complex,
     saddle_rhs,
@@ -32,18 +30,18 @@ class _ZeroStencil:
 
 
 def test_degenerate_blocks_with_zero_stencil():
-    op = SaddleOperator(_ZeroStencil(GridSpec(3, 1)), Shift(0.0, 1.0))
-    v = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    np.testing.assert_allclose(apply_saddle(op, v),
-                               [1.0, 2.0, 3.0, -4.0, -5.0, -6.0], rtol=0, atol=0)
+    op = SaddleOperator(_ZeroStencil(GridSpec(2, 2)), Shift(0.0, 1.0))
+    v = np.arange(1.0, 9.0)
+    np.testing.assert_allclose(op.apply(v),
+                               [1.0, 2.0, 3.0, 4.0, -5.0, -6.0, -7.0, -8.0], rtol=0, atol=0)
 
 
 def test_hand_assembled_two_by_two():
-    k_op = assemble_laplacian_1d(GridSpec(1, 1))
+    k_op = assemble_laplacian_2d_constant(GridSpec(1, 2))  # K = [[16]]
     op = SaddleOperator(k_op, Shift(1.0, 2.0))
     assert op.size == 2
-    np.testing.assert_allclose(op.dense(), [[2.0, 9.0], [9.0, -2.0]], rtol=0, atol=0)
-    np.testing.assert_allclose(op.apply(np.array([1.0, 0.0])), [2.0, 9.0], rtol=0, atol=0)
+    np.testing.assert_allclose(op.dense(), [[2.0, 17.0], [17.0, -2.0]], rtol=0, atol=0)
+    np.testing.assert_allclose(op.apply(np.array([1.0, 0.0])), [2.0, 17.0], rtol=0, atol=0)
 
 
 def test_block_apply_matches_dense_quadratic_form():
@@ -97,9 +95,9 @@ def test_stacking_round_trips():
 
 
 def test_apply_complex_shifted_examples():
-    k_op = assemble_laplacian_1d(GridSpec(1, 1))
+    k_op = assemble_laplacian_2d_constant(GridSpec(1, 2))
     out = apply_complex_shifted(k_op, Shift(1.0, 2.0), np.array([1.0 + 0.0j]))
-    np.testing.assert_allclose(out, [9.0 + 2.0j], rtol=0, atol=0)
+    np.testing.assert_allclose(out, [17.0 + 2.0j], rtol=0, atol=0)
 
     grid = GridSpec(3, 2)
     k2 = assemble_laplacian_2d_constant(grid)
@@ -140,6 +138,6 @@ def test_block_apply_consistent_with_complex_apply():
 
 
 def test_length_validation():
-    op = SaddleOperator(_ZeroStencil(GridSpec(2, 1)), Shift(0.0, 1.0))
+    op = SaddleOperator(_ZeroStencil(GridSpec(2, 2)), Shift(0.0, 1.0))
     with pytest.raises(ValueError):
-        op.apply(np.zeros(3))
+        op.apply(np.zeros(4))
