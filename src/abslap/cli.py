@@ -11,7 +11,7 @@ from .bench import (DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS,
                     emit_report, run_experiment)
 from .grid import GridSpec
 from .saddle import Shift
-from .spectral import certificate_payload, verify_spectrum
+from .spectral import VERIFY_CAP_2D, certificate_payload, verify_spectrum
 
 COEF_CHOICES = {"const": "constant_one", "example2": "example2_poly"}
 
@@ -29,13 +29,23 @@ def _int_list(value: str) -> list[int]:
     return [_power_of_two_minus_one(part) for part in value.split(",") if part != ""]
 
 
+def _verify_int_list(value: str) -> list[int]:
+    sizes = _int_list(value)
+    too_big = [n for n in sizes if n > VERIFY_CAP_2D]
+    if too_big:
+        raise argparse.ArgumentTypeError(
+            f"dense verification stops at n={VERIFY_CAP_2D}, got {too_big[0]}"
+        )
+    return sizes
+
+
 def _float_list(value: str) -> list[float]:
     return [float(part) for part in value.split(",") if part != ""]
 
 
-def _add_common(parser: argparse.ArgumentParser, many_n: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, many_n: bool, n_type=_int_list) -> None:
     # either way args.n is a list of grid sizes
-    parser.add_argument("--n", type=_int_list if many_n else _power_of_two_minus_one,
+    parser.add_argument("--n", type=n_type if many_n else _power_of_two_minus_one,
                         nargs=None if many_n else 1,
                         help="interior grid points per dimension, 2^k - 1"
                              + ("; comma separated list" if many_n else ""))
@@ -149,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verify-spectrum-up-to", type=int, default=0,
                        help="densely verify the spectrum for rows with n up to this "
                             "(rows above n=31 are skipped)")
-    _add_common(verify, many_n=True)
+    _add_common(verify, many_n=True, n_type=_verify_int_list)
 
     solve.set_defaults(func=_cmd_run, n=[63], one_shift=True)
     bench.set_defaults(func=_cmd_run, n=[15, 31, 63], one_shift=False)

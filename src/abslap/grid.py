@@ -114,32 +114,36 @@ class StencilOperator:
         if kind == KIND_VARIABLE:
             ax, ay = edge_coefficients
             # Row diagonal: sum of the four incident edge coefficients.
-            self._diag = ax[1:, :] + ax[:-1, :] + ay[:, 1:] + ay[:, :-1]
+            self._diag = ax[1:, :] + ax[:-1, :]
+            self._diag += ay[:, 1:]
+            self._diag += ay[:, :-1]
 
     @property
     def scale(self) -> float:
         return (self.grid.n + 1.0) ** 2  # 1/h^2
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """K u for a flat vector (m,) or for each row of a stack (B, m); same shape out."""
         g = self.grid
         u = np.asarray(u, dtype=float)
-        if u.shape != (g.m,):
-            raise ValueError(f"expected vector of length {g.m}, got shape {u.shape}")
-        v = u.reshape(g.n, g.n)
+        if u.ndim not in (1, 2) or u.shape[-1] != g.m:
+            raise ValueError(f"expected shape ({g.m},) or (B, {g.m}), got {u.shape}")
+        v = u.reshape(-1, g.n, g.n)
         if self.kind == KIND_CONSTANT:
             out = 4.0 * v
-            out[:-1, :] -= v[1:, :]
-            out[1:, :] -= v[:-1, :]
-            out[:, :-1] -= v[:, 1:]
-            out[:, 1:] -= v[:, :-1]
+            out[:, :-1, :] -= v[:, 1:, :]
+            out[:, 1:, :] -= v[:, :-1, :]
+            out[:, :, :-1] -= v[:, :, 1:]
+            out[:, :, 1:] -= v[:, :, :-1]
         else:
             ax, ay = self._edges
             out = self._diag * v
-            out[:-1, :] -= ax[1:-1, :] * v[1:, :]
-            out[1:, :] -= ax[1:-1, :] * v[:-1, :]
-            out[:, :-1] -= ay[:, 1:-1] * v[:, 1:]
-            out[:, 1:] -= ay[:, 1:-1] * v[:, :-1]
-        return out.ravel() * self.scale
+            out[:, :-1, :] -= ax[1:-1, :] * v[:, 1:, :]
+            out[:, 1:, :] -= ax[1:-1, :] * v[:, :-1, :]
+            out[:, :, :-1] -= ay[:, 1:-1] * v[:, :, 1:]
+            out[:, :, 1:] -= ay[:, 1:-1] * v[:, :, :-1]
+        out *= self.scale
+        return out.reshape(u.shape)
 
     def dense(self) -> np.ndarray:
         """Materialize the full m-by-m matrix.  Guarded by the dense cap."""
@@ -184,7 +188,7 @@ def assemble_laplacian_2d_variable(grid: GridSpec, coefficient: CoefficientField
     ax = np.asarray(coefficient.evaluator(half[:, None], centers[None, :]), dtype=float)
     ay = np.asarray(coefficient.evaluator(centers[:, None], half[None, :]), dtype=float)
     for direction, arr in (("first-coordinate", ax), ("second-coordinate", ay)):
-        if np.any(arr <= 0.0):
+        if arr.min() <= 0.0:
             raise ValueError(f"coefficient sample <= 0 on a {direction} edge midpoint")
     lo, hi = coefficient.a_min, coefficient.a_max
     slack = 1e-12 * max(1.0, hi)

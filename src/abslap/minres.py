@@ -43,9 +43,10 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     """Solve A x = rhs with symmetric A and SPD preconditioner P, x0 = 0.
 
     apply_a and apply_pinv are callables on flat vectors; apply_pinv=None
-    means no preconditioning.  Returns (x, SolveReport).  Convergence is
-    declared when the monitored residual drops below tol times its initial
-    value.
+    means no preconditioning.  Each must return a new array or its own
+    input: the solver reuses returned arrays as its work vectors.  rhs is
+    never modified.  Returns (x, SolveReport).  Convergence is declared when
+    the monitored residual drops below tol times its initial value.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -65,13 +66,11 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
                              time.perf_counter() - start)
         return x, report
 
-    # Not in-place: an identity apply_pinv hands back the same array, so z
-    # may alias v and an in-place divide would scale the shared buffer twice.
-    v = v / gamma0
-    z = z / gamma0
+    _scale_pair(v, z, gamma0)
     v_prev = np.zeros_like(rhs)
     w_prev = np.zeros_like(rhs)
     w_curr = np.zeros_like(rhs)
+    scratch = np.empty_like(rhs)
     # Rotation state: (c_prev, s_prev) is the rotation two steps back.
     c_prev, c_curr = 1.0, 1.0
     s_prev, s_curr = 0.0, 0.0
@@ -83,8 +82,13 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
 
     for j in range(1, config.max_iter + 1):
         q = apply_a(z)
+        if np.may_share_memory(q, z):
+            q = q.copy()  # q becomes v_next below, and z is still needed
         delta = float(np.dot(q, z))
-        v_next = q - delta * v - beta * v_prev
+        # v_next = q - delta v - beta v_prev, built in q
+        q -= np.multiply(v, delta, out=scratch)
+        q -= np.multiply(v_prev, beta, out=scratch)
+        v_next = q
         z_next = apply_pinv(v_next)
         gamma_sq = float(np.dot(z_next, v_next))
         _check_inner_product(gamma_sq, v_next, z_next)
@@ -99,8 +103,12 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
         c_next = alpha0 / alpha1
         s_next = beta_next / alpha1
 
-        w_next = (z - alpha3 * w_prev - alpha2 * w_curr) / alpha1
-        x += (c_next * eta) * w_next
+        # w_next = (z - alpha3 w_prev - alpha2 w_curr) / alpha1, built in the
+        # buffer of w_prev, which is dead after this step
+        w_next = np.subtract(z, np.multiply(w_prev, alpha3, out=scratch), out=w_prev)
+        w_next -= np.multiply(w_curr, alpha2, out=scratch)
+        w_next /= alpha1
+        x += np.multiply(w_next, c_next * eta, out=scratch)
         eta = -s_next * eta
         iterations = j
         history.append(abs(eta))
@@ -113,9 +121,8 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
             converged = abs(eta) <= target
             break
 
-        v_prev = v
-        v = v_next / beta_next
-        z = z_next / beta_next
+        _scale_pair(v_next, z_next, beta_next)
+        v_prev, v, z = v, v_next, z_next
         w_prev, w_curr = w_curr, w_next
         c_prev, c_curr = c_curr, c_next
         s_prev, s_curr = s_curr, s_next
@@ -126,6 +133,15 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     report = SolveReport(iterations, converged, np.asarray(history), true_rel,
                          time.perf_counter() - start)
     return x, report
+
+
+def _scale_pair(v: np.ndarray, z: np.ndarray, norm: float) -> None:
+    """Divide v and z = P^-1 v by norm in place.  An identity preconditioner
+    hands back its input, so z may be v itself: scale it only once.
+    """
+    v /= norm
+    if not np.may_share_memory(z, v):
+        z /= norm
 
 
 def _check_inner_product(value: float, v: np.ndarray, z: np.ndarray) -> None:

@@ -34,17 +34,16 @@ class SpectralPreconditioner:
         self.m = grid.m
 
     def apply_inverse(self, w: np.ndarray) -> np.ndarray:
-        """Apply P^-1 to a stacked vector, one transform pair per block half."""
+        """Apply P^-1 to a stacked vector: one transform pair over both block halves."""
         w = np.asarray(w, dtype=float)
         if w.shape != (2 * self.m,):
             raise ValueError(
                 f"expected stacked vector of length {2 * self.m}, got shape {w.shape}"
             )
         t = self.transform
-        weights = 1.0 / self.weights
-        top = t.apply(weights * t.apply(w[:self.m]))
-        bot = t.apply(weights * t.apply(w[self.m:]))
-        return np.concatenate([top, bot])
+        x = t.apply(w.reshape(2, self.m))
+        x /= self.weights
+        return t.apply(x).ravel()
 
     def materialize_block(self, exponent: float = 1.0) -> np.ndarray:
         """Dense m-by-m matrix of one diagonal block at the given power.
@@ -69,13 +68,19 @@ class SpectralPreconditioner:
 
 
 def _build(grid: GridSpec, shift: Shift, gamma: float) -> SpectralPreconditioner:
-    lam = laplacian_eigenvalues(grid)
-    weights = np.hypot(gamma * lam + shift.alpha, shift.beta)
-    if np.any(weights == 0.0):
-        idx = int(np.argmin(weights))
+    # sqrt((gamma lam + alpha)^2 + beta^2), built in the eigenvalue array;
+    # np.hypot is four times slower and no overflow is in reach
+    weights = laplacian_eigenvalues(grid)
+    weights *= gamma
+    weights += shift.alpha
+    weights *= weights
+    weights += shift.beta ** 2
+    np.sqrt(weights, out=weights)
+    idx = int(np.argmin(weights))
+    if weights[idx] == 0.0:
         raise ValueError(
             "singular preconditioner: beta = 0 and alpha cancels the Laplacian "
-            f"eigenvalue {float(gamma * lam[idx]):g} (mode index {idx})"
+            f"eigenvalue {-shift.alpha:g} (mode index {idx})"
         )
     return SpectralPreconditioner(grid, shift, weights, gamma)
 

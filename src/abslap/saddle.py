@@ -45,11 +45,16 @@ class SaddleOperator:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.size,):
             raise ValueError(f"expected vector of length {self.size}, got shape {v.shape}")
-        v1, v2 = v[:self.m], v[self.m:]
         alpha, beta = self.shift.alpha, self.shift.beta
-        top = beta * v1 + self.k_op.apply(v2) + alpha * v2
-        bot = self.k_op.apply(v1) + alpha * v1 - beta * v2
-        return np.concatenate([top, bot])
+        swapped = v.reshape(2, self.m)[::-1]  # (v2; v1)
+        out = self.k_op.apply(swapped)  # (K v2; K v1)
+        scratch = alpha * swapped
+        out += scratch
+        np.multiply(swapped[1], beta, out=scratch[0])
+        out[0] += scratch[0]
+        np.multiply(swapped[0], beta, out=scratch[1])
+        out[1] -= scratch[1]
+        return out.ravel()
 
     def dense(self) -> np.ndarray:
         k = self.k_op.dense()

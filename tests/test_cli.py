@@ -113,6 +113,14 @@ def test_verify_uncertified_rows_do_not_fail_exit_code(capsys):
     assert payload[0]["all_inside"] is True
 
 
+def test_verify_above_cap_is_a_usage_error(capsys):
+    # dense verification stops at n=31; larger sizes are refused by argparse
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--n", "7,63"])
+    assert err.value.code == 2
+    assert "n=31" in capsys.readouterr().err
+
+
 def test_rejects_grid_size_not_power_of_two_minus_one():
     with pytest.raises(SystemExit) as err:
         main(["solve", "--n", "10", "--alpha", "1", "--beta", "1"])

@@ -101,12 +101,34 @@ def test_eigenvalue_examples():
     np.testing.assert_allclose(np.sort(lam2), dense_eigs, rtol=1e-11)
 
 
+def test_stacked_apply_matches_single_applies_and_reference():
+    # even sizes; one column block up to n=100, two with a ragged last one at
+    # n=127, five even ones at n=255
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 4, 12, 100, 127, 255):
+        t = SineTransform(n)
+        stack = rng.standard_normal((2, n * n))
+        kept = stack.copy()
+        fast = t.apply(stack)
+        assert fast.shape == stack.shape
+        np.testing.assert_array_equal(stack, kept)
+        for row, v in zip(fast, stack):
+            np.testing.assert_array_equal(row, t.apply(v))
+        ref = t.apply_reference(stack)
+        assert ref.shape == stack.shape
+        assert np.abs(fast - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
 def test_length_mismatch_rejected():
     t = SineTransform(3)
     with pytest.raises(ValueError):
         t.apply(np.zeros(3))
     with pytest.raises(ValueError):
         t.apply(np.zeros(10))
+    with pytest.raises(ValueError):
+        t.apply(np.zeros((2, 10)))
+    with pytest.raises(ValueError):
+        t.apply(np.zeros((1, 2, 9)))
 
 
 def test_invalid_construction():

@@ -166,6 +166,21 @@ def test_matrix_free_matches_dense():
                                        rtol=1e-13, atol=1e-13 * np.abs(dense).max())
 
 
+def test_stacked_apply_matches_per_half_applies():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 15):
+        grid = GridSpec(n, 2)
+        for op in (assemble_laplacian_2d_constant(grid),
+                   assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())):
+            stack = rng.standard_normal((2, grid.m))
+            kept = stack.copy()
+            out = op.apply(stack)
+            assert out.shape == stack.shape
+            np.testing.assert_array_equal(stack, kept)
+            for row, u in zip(out, stack):
+                np.testing.assert_array_equal(row, op.apply(u))
+
+
 def test_transform_diagonalizes_constant_operator():
     for n in (3, 7, 15):
         grid = GridSpec(n, 2)

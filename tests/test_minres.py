@@ -27,6 +27,25 @@ def test_identity_system_converges_immediately():
     assert report.final_true_residual <= 1e-12
 
 
+def test_rhs_is_left_unmodified():
+    rng = np.random.default_rng(1)
+    rhs = rng.standard_normal(12)
+    kept = rhs.copy()
+    minres_solve(lambda v: v, None, rhs, SolverConfig(tol=1e-10, max_iter=10))
+    np.testing.assert_array_equal(rhs, kept)
+
+    grid = GridSpec(15, 2)
+    shift = Shift(-600.0, 150.0)
+    coefficient = separable_quadratic_coefficient()
+    op = SaddleOperator(assemble_laplacian_2d_variable(grid, coefficient), shift)
+    p = build_averaged(grid, coefficient, shift)
+    rhs = rng.standard_normal(2 * grid.m)
+    kept = rhs.copy()
+    _, report = minres_solve(op.apply, p.apply_inverse, rhs, SolverConfig(tol=1e-8))
+    assert report.converged
+    np.testing.assert_array_equal(rhs, kept)
+
+
 def test_two_iterations_with_exact_preconditioner():
     grid = GridSpec(63, 2)
     shift = Shift(100.0, 100.0)

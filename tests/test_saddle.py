@@ -57,6 +57,22 @@ def test_block_apply_matches_dense_quadratic_form():
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
 
+def test_block_apply_matches_per_half_formula():
+    # [(K+alpha) v2 + beta v1; (K+alpha) v1 - beta v2] from single-half stencil applies
+    grid = GridSpec(7, 2)
+    k_op = assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())
+    alpha, beta = -600.0, 150.0
+    op = SaddleOperator(k_op, Shift(alpha, beta))
+    v = np.random.default_rng(6).standard_normal(op.size)
+    kept = v.copy()
+    v1, v2 = v[:grid.m], v[grid.m:]
+    expected = np.concatenate([k_op.apply(v2) + alpha * v2 + beta * v1,
+                               k_op.apply(v1) + alpha * v1 - beta * v2])
+    out = op.apply(v)
+    np.testing.assert_array_equal(v, kept)
+    np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+
+
 def test_operator_symmetry():
     grid = GridSpec(4, 2)
     k_op = assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())
