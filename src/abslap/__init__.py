@@ -15,8 +15,8 @@ from .grid import (CoefficientField, GridSpec, StencilOperator,
                    smallest_laplacian_eigenvalue)
 from .minres import SolveReport, SolverConfig, bound_iterations, minres_solve
 from .precond import SpectralPreconditioner, build_averaged, build_ideal
-from .saddle import (SaddleOperator, Shift, apply_complex_shifted, complex_to_real,
-                     real_to_complex, saddle_rhs)
+from .saddle import (SaddleOperator, Shift, apply_complex_shifted, real_to_complex,
+                     saddle_rhs)
 from .spectral import (BoundSet, SpectrumCertificate, abs_block_2x2,
                        compute_bounds, verify_sandwich, verify_spectrum)
 
@@ -28,7 +28,7 @@ __all__ = [
     "SolverConfig", "SpectralPreconditioner", "SpectrumCertificate", "BoundSet",
     "StencilOperator", "abs_block_2x2", "apply_complex_shifted",
     "assemble_laplacian_2d_constant", "assemble_laplacian_2d_variable",
-    "bound_iterations", "build_averaged", "build_ideal", "complex_to_real",
+    "bound_iterations", "build_averaged", "build_ideal",
     "constant_coefficient", "emit_report", "generate_rhs", "laplacian_eigenvalues",
     "minres_solve", "real_to_complex", "run_experiment", "saddle_rhs",
     "separable_quadratic_coefficient", "smallest_laplacian_eigenvalue",

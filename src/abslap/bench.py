@@ -33,7 +33,7 @@ from .grid import (CoefficientField, GridSpec, assemble_laplacian_2d_constant,
                    separable_quadratic_coefficient, smallest_laplacian_eigenvalue)
 from .minres import SolverConfig, bound_iterations, minres_solve
 from .precond import build_averaged, build_ideal
-from .saddle import SaddleOperator, Shift, apply_complex_shifted, real_to_complex, saddle_rhs
+from .saddle import SaddleOperator, Shift, apply_complex_shifted, saddle_rhs
 from .spectral import BRANCH_VIOLATED, VERIFY_CAP_2D, compute_bounds, verify_spectrum
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -66,11 +66,15 @@ class RandomStream:
             z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
             return z ^ (z >> np.uint64(31))
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """count uniforms in the open interval (0, 1), advancing the stream."""
+    def bits(self, count: int) -> np.ndarray:
+        """count raw 64-bit outputs as uint64, advancing the stream."""
         counters = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
         self._drawn += count
-        bits = self._mix(counters)
+        return self._mix(counters)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """count uniforms in the open interval (0, 1), advancing the stream."""
+        bits = self.bits(count)
         return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
     def normals(self, count: int) -> np.ndarray:
@@ -142,14 +146,6 @@ def generate_rhs(grid: GridSpec, k_op, shift: Shift, seed: int):
     return exact, rhs
 
 
-def _row_seed(base: int, index: int) -> int:
-    """Independent per-row substream: one extra splitmix scramble of the index."""
-    z = (base + (index + 1) * GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * MIX2) & MASK64
-    return (z ^ (z >> 31)) & MASK64
-
-
 def _iteration_bound(spec: ExperimentSpec, coefficient, grid, shift):
     if spec.preconditioner == "none":
         return None
@@ -167,8 +163,10 @@ def _iteration_bound(spec: ExperimentSpec, coefficient, grid, shift):
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     """Run the sweep row by row; failures are recorded, not raised."""
     coefficient = coefficient_from_spec(spec.coefficient)
+    # one independent substream seed per row, drawn from the spec's stream
+    row_count = len(spec.grid_sizes) * len(spec.shifts)
+    seeds = iter(RandomStream(spec.seed).bits(row_count).tolist())
     rows = []
-    index = 0
     for n in spec.grid_sizes:
         grid = GridSpec(n, 2)
         if spec.coefficient == "constant_one":
@@ -182,12 +180,10 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
                             bound_iterations=None, spectrum_verdict="skipped",
                             converged=False)
             try:
-                _run_row(spec, coefficient, grid, k_op, shift,
-                         _row_seed(spec.seed, index), row)
+                _run_row(spec, coefficient, grid, k_op, shift, next(seeds), row)
             except (ValueError, RuntimeError) as exc:
                 row.error = str(exc)
             rows.append(row)
-            index += 1
     return rows
 
 

@@ -156,23 +156,11 @@ def _check_inner_product(value: float, v: np.ndarray, z: np.ndarray) -> None:
         )
 
 
-def symmetrize_intervals(neg_outer, neg_inner, pos_inner, pos_outer):
-    """Widen [-neg_outer, -neg_inner] u [pos_inner, pos_outer] to equal lengths.
-
-    Only outer endpoints grow, so any spectrum contained before is contained
-    after.  All four arguments are positive magnitudes.
-    """
-    if not (0.0 < neg_inner <= neg_outer and 0.0 < pos_inner <= pos_outer):
-        raise ValueError("interval magnitudes must satisfy 0 < inner <= outer")
-    width = max(neg_outer - neg_inner, pos_outer - pos_inner)
-    return neg_inner + width, neg_inner, pos_inner, pos_inner + width
-
-
 def bound_iterations(a1: float, a2: float, a3: float, a4: float, tol: float) -> int:
     """Iterations guaranteeing relative residual tol on [-a1,-a2] u [a3,a4].
 
-    Requires equal interval lengths a1 - a2 = a4 - a3 (symmetrize_intervals
-    widens first if needed).  The contraction factor per two iterations is
+    Requires equal interval lengths a1 - a2 = a4 - a3.  The contraction
+    factor per two iterations is
     rho = (sqrt(a1 a4) - sqrt(a2 a3)) / (sqrt(a1 a4) + sqrt(a2 a3)) and the
     result is the smallest even k with 2 rho^(k/2) <= tol; rho = 0 gives 2.
     """
@@ -182,10 +170,7 @@ def bound_iterations(a1: float, a2: float, a3: float, a4: float, tol: float) -> 
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     lengths = (a1 - a2, a4 - a3)
     if abs(lengths[0] - lengths[1]) > 1e-9 * max(1.0, a1, a4):
-        raise ValueError(
-            f"interval lengths differ ({lengths[0]} vs {lengths[1]}); "
-            "symmetrize_intervals first"
-        )
+        raise ValueError(f"interval lengths differ ({lengths[0]} vs {lengths[1]})")
     outer = math.sqrt(a1 * a4)
     inner = math.sqrt(a2 * a3)
     rho = (outer - inner) / (outer + inner)

@@ -1,15 +1,13 @@
 """Dense brute-force references used only by the test suite.
 
-Everything here is deliberately independent of the transform-based fast
-path and of library decompositions: the symmetric eigendecomposition is a
-cyclic Jacobi sweep and the complex solve is textbook LU with partial
-pivoting, both written out locally.  Slow and simple on purpose; orders are
-capped at desk scale.
+Everything here is independent of the transform-based fast path: |H| and
+square roots come from numpy's symmetric eigendecomposition of the dense
+matrix and the complex solve from numpy's dense LU solver, so no sine
+transform, eigenvalue formula or stencil apply enters a reference.  Orders
+are capped at desk scale.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,64 +26,6 @@ def _check_square(a: np.ndarray, cap: int = ORDER_CAP) -> np.ndarray:
     return a
 
 
-def jacobi_eigh(h: np.ndarray, sweep_tol: float = 1e-14, max_sweeps: int = 30):
-    """Symmetric eigendecomposition by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvector columns) with
-    h = q diag(w) q^T.  Sweeps rotate away every off-diagonal pair in turn
-    until the off-diagonal mass falls below sweep_tol relative to the
-    Frobenius norm.
-    """
-    a = np.array(_check_square(h), dtype=float, copy=True)
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return a.ravel().copy(), q
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n), q
-
-    for _ in range(max_sweeps):
-        strict = a.copy()
-        np.fill_diagonal(strict, 0.0)
-        if np.linalg.norm(strict) <= sweep_tol * norm:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = float(a[p, r])
-                if apr == 0.0:
-                    continue
-                tau = (float(a[r, r]) - float(a[p, p])) / (2.0 * apr)
-                # stable choice of the smaller-angle root; asymptotic form
-                # once tau*tau would overflow
-                if abs(tau) >= 1e150:
-                    t = 0.5 / tau
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                vec_p = q[:, p].copy()
-                vec_r = q[:, r].copy()
-                q[:, p] = c * vec_p - s * vec_r
-                q[:, r] = s * vec_p + c * vec_r
-    else:
-        raise RuntimeError(f"Jacobi sweeps did not converge within {max_sweeps} passes")
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], q[:, order]
-
-
 def _symmetric_part(h: np.ndarray, what: str) -> np.ndarray:
     h = _check_square(h).astype(float)
     scale = max(1.0, float(np.abs(h).max()))
@@ -97,43 +37,20 @@ def _symmetric_part(h: np.ndarray, what: str) -> np.ndarray:
 def dense_abs(h: np.ndarray) -> np.ndarray:
     """Matrix absolute value via eigendecomposition: |H| = Q |diag| Q^T."""
     sym = _symmetric_part(h, "dense_abs")
-    w, q = jacobi_eigh(sym)
+    w, q = np.linalg.eigh(sym)
     return (q * np.abs(w)[None, :]) @ q.T
 
 
 def dense_sqrt(h: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix; tiny negative eigenvalues clamp to 0."""
     sym = _symmetric_part(h, "dense_sqrt")
-    w, q = jacobi_eigh(sym)
+    w, q = np.linalg.eigh(sym)
     floor = -1e-10 * max(1.0, float(np.abs(w).max()))
     if w.min() < floor:
         raise ValueError(
             f"dense_sqrt needs a positive semidefinite matrix; smallest eigenvalue {w.min()}"
         )
     return (q * np.sqrt(np.clip(w, 0.0, None))[None, :]) @ q.T
-
-
-def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Partial-pivot LU solve, complex arithmetic, in place on copies."""
-    a = np.array(a, dtype=complex, copy=True)
-    b = np.array(b, dtype=complex, copy=True)
-    n = a.shape[0]
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            raise ValueError("singular matrix in dense complex solve")
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= factors[:, None] * a[k, k + 1:][None, :]
-        b[k + 1:] -= factors * b[k]
-    x = np.zeros(n, dtype=complex)
-    for k in range(n - 1, -1, -1):
-        if a[k, k] == 0.0:
-            raise ValueError("singular matrix in dense complex solve")
-        x[k] = (b[k] - np.dot(a[k, k + 1:], x[k + 1:])) / a[k, k]
-    return x
 
 
 def dense_complex_solve(k_dense: np.ndarray, shift: Shift, f: np.ndarray) -> np.ndarray:
@@ -143,7 +60,8 @@ def dense_complex_solve(k_dense: np.ndarray, shift: Shift, f: np.ndarray) -> np.
     if f.shape != (k.shape[0],):
         raise ValueError(f"right-hand side shape {f.shape} does not match order {k.shape[0]}")
     a = k + (shift.alpha + 1j * shift.beta) * np.eye(k.shape[0])
-    z = _lu_solve(a, f)
+    # np.linalg.LinAlgError, raised on an exactly singular system, is a ValueError
+    z = np.linalg.solve(a, f)
     fnorm = float(np.linalg.norm(f))
     if fnorm > 0.0:
         rel = float(np.linalg.norm(a @ z - f)) / fnorm

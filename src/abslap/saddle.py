@@ -7,9 +7,8 @@ equivalent to the symmetric indefinite block system
     [ K + alpha I   -beta I  ] [z2] = [Re f].
 
 The first block row matches the imaginary part of the complex equation and
-the second the real part; saddle_rhs builds that right-hand side, while
-complex_to_real / real_to_complex are the plain real-part-first stacking
-bijection used for solution vectors.
+the second the real part; saddle_rhs builds that right-hand side, and
+real_to_complex unstacks the solution (z1; z2) into z1 + z2 i.
 """
 
 from __future__ import annotations
@@ -64,14 +63,8 @@ class SaddleOperator:
         return np.block([[beta * eye, shifted], [shifted, -beta * eye]])
 
 
-def complex_to_real(f: np.ndarray) -> np.ndarray:
-    """Stack a complex vector as (real part; imaginary part)."""
-    f = np.asarray(f)
-    return np.concatenate([np.real(f).astype(float), np.imag(f).astype(float)])
-
-
 def real_to_complex(w: np.ndarray) -> np.ndarray:
-    """Inverse of complex_to_real: first half is the real part."""
+    """Unstack a real vector (real part; imaginary part) into a complex one."""
     w = np.asarray(w, dtype=float)
     if w.size % 2 != 0:
         raise ValueError(f"stacked vector must have even length, got {w.size}")

@@ -65,8 +65,7 @@ class BoundSet:
 @dataclass(frozen=True)
 class SpectrumCertificate:
     eigenvalues: np.ndarray
-    interval_lo_neg: float
-    interval_hi_neg: float
+    # the certified set is symmetric: [-hi, -lo] u [lo, hi]
     interval_lo_pos: float
     interval_hi_pos: float
     all_inside: bool
@@ -221,8 +220,6 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     max_violation = float(violations.max())
     return SpectrumCertificate(
         eigenvalues=eigenvalues,
-        interval_lo_neg=inner,
-        interval_hi_neg=outer,
         interval_lo_pos=inner,
         interval_hi_pos=outer,
         all_inside=bool(max_violation <= SPECTRUM_SLACK),

@@ -47,6 +47,14 @@ def test_uniforms_match_scalar_reference():
     np.testing.assert_array_equal(got, expected)
     assert np.all((got > 0.0) & (got < 1.0))
 
+    # raw bits continue the same counter sequence, across the full 64-bit range
+    for seed in (0, 20260822, MASK):
+        stream = RandomStream(seed)
+        stream.uniforms(3)
+        bits = stream.bits(5)
+        assert bits.dtype == np.uint64
+        assert bits.tolist() == [_splitmix_scalar(seed, k) for k in range(4, 9)]
+
 
 def test_normals_are_box_muller_pairs():
     stream = RandomStream(5)
@@ -109,12 +117,12 @@ def test_solution_matches_exact_and_dense_reference():
     from abslap.minres import SolverConfig, minres_solve
     from abslap.precond import build_ideal
     from abslap.saddle import SaddleOperator, real_to_complex, saddle_rhs
-    from abslap.bench import _row_seed
 
     grid = GridSpec(15, 2)
     k_op = assemble_laplacian_2d_constant(grid)
     shift = Shift(100.0, 100.0)
-    exact, rhs = generate_rhs(grid, k_op, shift, _row_seed(spec.seed, 0))
+    row_seed = int(RandomStream(spec.seed).bits(1)[0])
+    exact, rhs = generate_rhs(grid, k_op, shift, row_seed)
     op = SaddleOperator(k_op, shift)
     x, report = minres_solve(op.apply, build_ideal(grid, shift).apply_inverse,
                              saddle_rhs(rhs), SolverConfig(tol=1e-8, max_iter=100))

@@ -11,7 +11,7 @@ from abslap.grid import (
     assemble_laplacian_2d_variable,
     separable_quadratic_coefficient,
 )
-from abslap.minres import SolverConfig, bound_iterations, minres_solve, symmetrize_intervals
+from abslap.minres import SolverConfig, bound_iterations, minres_solve
 from abslap.precond import build_averaged, build_ideal
 from abslap.saddle import SaddleOperator, Shift, saddle_rhs
 from abslap.bench import generate_rhs
@@ -159,17 +159,6 @@ def test_bound_iterations_validation():
         bound_iterations(1.0, 1.0, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         bound_iterations(1.0, 1.0, 1.0, 1.0, 1.5)
-
-
-def test_symmetrize_intervals_widens_outward_only():
-    a1, a2, a3, a4 = symmetrize_intervals(3.0, 1.0, 1.0, 2.0)
-    assert (a1, a2, a3, a4) == (3.0, 1.0, 1.0, 3.0)
-    # already balanced inputs come back unchanged
-    assert symmetrize_intervals(2.0, 1.0, 1.0, 2.0) == (2.0, 1.0, 1.0, 2.0)
-    # result always feeds bound_iterations without complaint
-    bound_iterations(a1, a2, a3, a4, 1e-8)
-    with pytest.raises(ValueError):
-        symmetrize_intervals(1.0, 2.0, 1.0, 2.0)
 
 
 def test_lanczos_exhaustion_on_tiny_space():

@@ -1,4 +1,4 @@
-"""Brute-force reference path: rotation eigensolver, |H|, sqrt, complex solve."""
+"""Dense reference path: |H|, sqrt, complex solve and the dense block builders."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from abslap.oracle import (
     dense_complex_solve,
     dense_sqrt,
     ideal_preconditioner_dense,
-    jacobi_eigh,
     saddle_block_dense,
 )
 from abslap.precond import build_averaged, build_ideal
@@ -26,24 +25,6 @@ from abslap.saddle import SaddleOperator, Shift
 def _random_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return (a + a.T) / 2.0
-
-
-def test_rotation_eigensolver_reconstructs():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 3, 5, 8, 12, 32):
-        h = _random_symmetric(rng, n, scale=10.0)
-        w, q = jacobi_eigh(h)
-        assert np.all(np.diff(w) >= 0.0)
-        scale = max(1.0, np.abs(h).max())
-        assert np.abs((q * w[None, :]) @ q.T - h).max() <= 1e-12 * scale * n
-        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12 * n
-
-
-def test_rotation_eigensolver_agrees_with_library():
-    rng = np.random.default_rng(3)
-    h = _random_symmetric(rng, 20, scale=5.0)
-    w, _ = jacobi_eigh(h)
-    np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=1e-10, atol=1e-10)
 
 
 def test_dense_abs_examples():
@@ -101,6 +82,8 @@ def test_complex_solve_examples():
     np.testing.assert_allclose(out, [1.0 + 0.0j], rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         dense_complex_solve(np.array([[8.0]]), Shift(-8.0, 0.0), np.array([1.0 + 0.0j]))
+    with pytest.raises(ValueError):
+        dense_complex_solve(np.eye(2), Shift(0.0, 0.0), np.ones(3, dtype=complex))
 
 
 def test_complex_solve_residual_contract():

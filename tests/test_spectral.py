@@ -12,7 +12,7 @@ from abslap.grid import (
     separable_quadratic_coefficient,
     smallest_laplacian_eigenvalue,
 )
-from abslap.minres import bound_iterations, symmetrize_intervals
+from abslap.minres import bound_iterations
 from abslap.saddle import Shift
 from abslap.spectral import (
     BRANCH_ALPHA_NEG_VALID,
@@ -223,9 +223,9 @@ def test_iteration_bound_covers_observed_counts():
         c0 = smallest_laplacian_eigenvalue(GridSpec(row.n, 2))
         bounds = compute_bounds(poly, c0, Shift(row.alpha, row.beta))
         inner, outer = bounds.interval
-        a1, a2, a3, a4 = symmetrize_intervals(outer, inner, inner, outer)
-        assert row.iterations <= bound_iterations(a1, a2, a3, a4, spec.tol)
-        assert row.bound_iterations == bound_iterations(a1, a2, a3, a4, spec.tol)
+        bound = bound_iterations(outer, inner, inner, outer, spec.tol)
+        assert row.iterations <= bound
+        assert row.bound_iterations == bound
 
 
 def test_certificate_payload_schema():
