@@ -12,17 +12,32 @@ Two evaluation routes are kept deliberately separate so they can check each
 other: a fast path built on a real FFT of length 2(n+1), and an explicit
 O(n^2) matrix product.  The fast path is one pass, X -> X^T S, run twice:
 (X^T S)^T S = S X S.  A pass walks the columns of X a block at a time.  Each
-block is copied, transposed, into a small reused buffer as rows of the odd
-extension [0, col, 0, -reverse(col)]; the imaginary part of that buffer's
-FFT carries -2 times the sine sums, which land in the matching rows of the
-output.  The block is sized so that the buffer, its spectrum and the output
-rows stay in a core's L2 cache, so no full-size extension or transposed copy
-is ever made.
+block is copied, transposed, into a small buffer as rows of the zero-padded
+sequence [0, col, 0, ..., 0] of length 2(n+1); the imaginary part of its FFT
+is minus the sine sums, which land in the matching rows of the output.  The
+buffer's zero columns are written once, when it is made.  The block is
+sized so that the buffer, its spectrum and the output rows stay in a core's
+L2 cache, so no full-size extension or transposed copy is ever made.
+
+A pass's (array, block) tasks are independent, so the caller and one thread
+per further core the process may run on, from an executor that lives for
+one transform, take them from one shared queue, each with its own buffer.
+Every output row is written once with the serial arithmetic, so the result
+is bit-identical to a serial pass.  numpy's FFT, copies and products release
+the interpreter lock, so the blocks run in parallel.  A shared queue rather
+than one fixed chunk per thread lets the caller start at once and take over
+the blocks of a thread that starts late or whose core is busy.  A grid whose
+half spans fewer than _SPLIT_BLOCKS blocks (n < 623) is transformed in the
+caller alone and starts no thread: there, the output written from another
+core and the thread start-ups cost whole solves what the split saves.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,25 +52,82 @@ def sine_matrix(n: int) -> np.ndarray:
     return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * (math.pi / (n + 1)))
 
 
-# Bytes of odd-extension buffer, spectrum and output rows one block touches.
+# Bytes of extension buffer, spectrum and output rows one block touches.
 # Smaller blocks pay numpy's per-call FFT overhead more often.
 _BLOCK_BYTES = 512 * 1024
+# Threads start once a half spans this many blocks, n >= 623 at the block
+# size above.  A transform alone gains from n of about 200, but in whole
+# solves at n=511 (21 blocks, a stack the size of one core's L2 cache) the
+# layers after the transform lost what it saved, and times scattered more;
+# at n=1023 (86 blocks) solves were 23% faster.
+_SPLIT_BLOCKS = 32
 
 
-def _transpose_dst(x: np.ndarray) -> np.ndarray:
-    """out[b] = x[b].T @ S for a stack x of n-by-n arrays, one column block at a time."""
+def _block_rows(n: int) -> int:
+    """Columns of X per block: the most whose buffers fit in _BLOCK_BYTES."""
+    return max(1, min(n, _BLOCK_BYTES // (16 * (n + 1) + 16 * (n + 2) + 8 * n)))
+
+
+def _cores() -> int:
+    """Cores this process may run on (every CPU where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pass_tasks(x: np.ndarray, out: np.ndarray, tasks, lock, rows: int) -> None:
+    """out[b, i:i+rows] = x[b][:, i:i+rows].T @ S for each (b, i) taken from
+    the shared iterator `tasks`, under `lock`, until it is exhausted.
+
+    Runs in the caller or in a pool worker; each call owns its extension
+    buffer, and the lock hands every block to exactly one call.
+    """
     n = x.shape[-1]
-    rows = max(1, min(n, _BLOCK_BYTES // (16 * (n + 1) + 16 * (n + 2) + 8 * n)))
-    scale = -0.5 * math.sqrt(2.0 / (n + 1))
-    ext = np.zeros((rows, 2 * (n + 1)))
+    scale = -math.sqrt(2.0 / (n + 1))
+    ext = np.zeros((rows, 2 * (n + 1)))  # columns 0 and n+1.. stay zero
+    while True:
+        with lock:
+            task = next(tasks, None)
+        if task is None:
+            return
+        b, i = task
+        e = ext[:min(rows, n - i)]
+        e[:, 1:n + 1] = x[b, :, i:i + rows].T
+        np.multiply(np.fft.rfft(e).imag[:, 1:n + 1], scale, out=out[b, i:i + rows])
+
+
+def _transpose_dst(x: np.ndarray, pool=None, workers: int = 1) -> np.ndarray:
+    """out[b] = x[b].T @ S for a stack x of n-by-n arrays, one column block at a time.
+
+    The caller and `workers - 1` calls on `pool` take the (array, block)
+    tasks from one shared queue.
+    """
+    n = x.shape[-1]
+    rows = _block_rows(n)
+    tasks = iter([(b, i) for b in range(len(x)) for i in range(0, n, rows)])
+    lock = threading.Lock()
     out = np.empty(x.shape)
-    for xb, ob in zip(x, out):
-        for i in range(0, n, rows):
-            e = ext[:min(rows, n - i)]
-            e[:, 1:n + 1] = xb[:, i:i + rows].T
-            np.negative(e[:, n:0:-1], out=e[:, n + 2:])
-            np.multiply(np.fft.rfft(e).imag[:, 1:n + 1], scale, out=ob[i:i + rows])
+    futures = [pool.submit(_pass_tasks, x, out, tasks, lock, rows)
+               for _ in range(workers - 1)]
+    _pass_tasks(x, out, tasks, lock, rows)
+    for future in futures:
+        future.result()
     return out
+
+
+def _dst2(x: np.ndarray) -> np.ndarray:
+    """S x[b] S for each n-by-n array of a stack, as two passes X -> X^T S.
+
+    A grid whose half spans fewer than _SPLIT_BLOCKS column blocks runs in
+    the caller alone; a larger one splits each pass across every core.
+    """
+    n = x.shape[-1]
+    blocks = -(-n // _block_rows(n))
+    workers = min(_cores(), len(x) * blocks) if blocks >= _SPLIT_BLOCKS else 1
+    if workers < 2:  # also an empty stack
+        return _transpose_dst(_transpose_dst(x))
+    with ThreadPoolExecutor(workers - 1) as pool:
+        return _transpose_dst(_transpose_dst(x, pool, workers), pool, workers)
 
 
 class SineTransform:
@@ -94,8 +166,7 @@ class SineTransform:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """2D transform of a flat vector or of each row of a stack; same shape out."""
-        x = self._check(v)
-        return _transpose_dst(_transpose_dst(x)).reshape(np.shape(v))
+        return _dst2(self._check(v)).reshape(np.shape(v))
 
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
         s = self.matrix()

@@ -7,6 +7,13 @@ the inverse-preconditioner norm, which the recurrence tracks for free and
 which the two-interval convergence bound controls.  A nonpositive
 preconditioned inner product aborts the run, since it certifies the
 preconditioner is not positive definite.
+
+Inner products and norms go through np.einsum, never np.dot or
+np.linalg.norm.  On long vectors those call the threaded BLAS dot, whose
+worker then busy-waits on another core for a tenth of a second or more;
+the sine transform, which splits its passes across every core, would
+share that core with it.  The einsum reduction costs about twice a BLAS
+dot, well under a millisecond at half a million entries.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     x = np.zeros_like(rhs)
     v = rhs.copy()
     z = apply_pinv(v)
-    gamma_sq = float(np.dot(z, v))
+    gamma_sq = _dot(z, v)
     _check_inner_product(gamma_sq, v, z)
     gamma0 = math.sqrt(max(gamma_sq, 0.0))
     history = [gamma0]
@@ -84,13 +91,13 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
         q = apply_a(z)
         if np.may_share_memory(q, z):
             q = q.copy()  # q becomes v_next below, and z is still needed
-        delta = float(np.dot(q, z))
+        delta = _dot(q, z)
         # v_next = q - delta v - beta v_prev, built in q
         q -= np.multiply(v, delta, out=scratch)
         q -= np.multiply(v_prev, beta, out=scratch)
         v_next = q
         z_next = apply_pinv(v_next)
-        gamma_sq = float(np.dot(z_next, v_next))
+        gamma_sq = _dot(z_next, v_next)
         _check_inner_product(gamma_sq, v_next, z_next)
         beta_next = math.sqrt(max(gamma_sq, 0.0))
 
@@ -129,10 +136,15 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
         beta = beta_next
 
     residual = rhs - apply_a(x)
-    true_rel = float(np.linalg.norm(residual) / np.linalg.norm(rhs))
+    true_rel = math.sqrt(_dot(residual, residual)) / math.sqrt(_dot(rhs, rhs))
     report = SolveReport(iterations, converged, np.asarray(history), true_rel,
                          time.perf_counter() - start)
     return x, report
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two flat vectors without BLAS."""
+    return float(np.einsum("i,i->", a, b))
 
 
 def _scale_pair(v: np.ndarray, z: np.ndarray, norm: float) -> None:
@@ -148,7 +160,7 @@ def _check_inner_product(value: float, v: np.ndarray, z: np.ndarray) -> None:
     """Negative (z, v) beyond roundoff means the preconditioner is not SPD."""
     if value >= 0.0:
         return
-    scale = float(np.linalg.norm(v) * np.linalg.norm(z))
+    scale = math.sqrt(_dot(v, v)) * math.sqrt(_dot(z, z))
     if abs(value) > 1e-13 * max(scale, 1e-300):
         raise ValueError(
             f"preconditioned inner product {value} < 0: preconditioner is not "

@@ -1,10 +1,13 @@
 """Sine transform correctness: involution, fast path, and diagonalization."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from abslap import dst
 from abslap.dst import SineTransform, laplacian_eigenvalues, sine_matrix
 from abslap.grid import GridSpec, assemble_laplacian_2d_constant, smallest_laplacian_eigenvalue
 
@@ -117,6 +120,73 @@ def test_stacked_apply_matches_single_applies_and_reference():
         ref = t.apply_reference(stack)
         assert ref.shape == stack.shape
         assert np.abs(fast - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        CountingExecutor.built += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_threaded_pass_is_bit_equal_to_serial(monkeypatch):
+    # 3 workers is more than the cores of a small machine; n=300 ends each
+    # half with a partial column block; the gate is lowered so these small
+    # grids split
+    monkeypatch.setattr(dst, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(dst, "_SPLIT_BLOCKS", 2)
+    rng = np.random.default_rng(17)
+    for n in (255, 300, 511):
+        t = SineTransform(n)
+        stack = rng.standard_normal((2, n * n))
+        results = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(dst, "_cores", lambda workers=workers: workers)
+            CountingExecutor.built = 0
+            results[workers] = (t.apply(stack[0]), t.apply(stack))
+            assert CountingExecutor.built == (0 if workers == 1 else 2)
+        for serial, threaded in zip(results[1], results[3]):
+            np.testing.assert_array_equal(threaded, serial)
+        assert t.apply(np.empty((0, n * n))).shape == (0, n * n)
+        if n == 255:
+            ref = t.apply_reference(stack)
+            assert np.abs(results[3][1] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_worker_exception_reraises_in_caller(monkeypatch):
+    caller = threading.current_thread()
+    serial_tasks = dst._pass_tasks
+
+    def failing_tasks(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        serial_tasks(*args)
+
+    monkeypatch.setattr(dst, "_cores", lambda: 3)
+    monkeypatch.setattr(dst, "_SPLIT_BLOCKS", 2)
+    monkeypatch.setattr(dst, "_pass_tasks", failing_tasks)
+    before = set(threading.enumerate())
+    t = SineTransform(255)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        t.apply(np.ones((2, t.size)))
+    assert set(threading.enumerate()) <= before
+
+
+def test_grids_of_few_blocks_start_no_thread(monkeypatch):
+    def no_executor(*args, **kwargs):
+        raise AssertionError("executor constructed")
+
+    monkeypatch.setattr(dst, "_cores", lambda: 3)
+    monkeypatch.setattr(dst, "ThreadPoolExecutor", no_executor)
+    rng = np.random.default_rng(19)
+    threads = threading.active_count()
+    for n in (31, 127, 511):
+        t = SineTransform(n)
+        stack = rng.standard_normal((2, n * n))
+        ref = t.apply_reference(stack)
+        assert np.abs(t.apply(stack) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert threading.active_count() == threads
 
 
 def test_length_mismatch_rejected():

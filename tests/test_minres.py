@@ -11,6 +11,7 @@ from abslap.grid import (
     assemble_laplacian_2d_variable,
     separable_quadratic_coefficient,
 )
+from abslap import minres
 from abslap.minres import SolverConfig, bound_iterations, minres_solve
 from abslap.precond import build_averaged, build_ideal
 from abslap.saddle import SaddleOperator, Shift, saddle_rhs
@@ -92,6 +93,37 @@ def test_history_monotone_and_convergence_flag():
     assert len(hist) == report.iterations + 1
     assert report.final_true_residual <= 10.0 * config.tol
     assert report.wall_time >= 0.0
+
+
+def test_inner_product_within_summation_bound_of_exact():
+    # summation of m products in any order errs by at most m eps sum|a_i b_i|
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for m in (1, 7, 1000, 2 * 511 * 511):
+        a = rng.standard_normal(m)
+        b = rng.standard_normal(m)
+        products = (a * b).tolist()
+        exact = math.fsum(products)
+        bound = m * eps * math.fsum(abs(p) for p in products)
+        assert abs(minres._dot(a, b) - exact) <= bound
+
+
+def test_solve_matches_blas_inner_product_reference(monkeypatch):
+    grid = GridSpec(63, 2)
+    shift = Shift(-600.0, 150.0)
+    coef = separable_quadratic_coefficient()
+    k_op = assemble_laplacian_2d_variable(grid, coef)
+    p = build_averaged(grid, coef, shift)
+    _, rhs = generate_rhs(grid, k_op, shift, seed=41)
+    op = SaddleOperator(k_op, shift)
+    config = SolverConfig(tol=1e-8, max_iter=100)
+    _, report = minres_solve(op.apply, p.apply_inverse, saddle_rhs(rhs), config)
+    monkeypatch.setattr(minres, "_dot", lambda a, b: float(np.dot(a, b)))
+    _, expected = minres_solve(op.apply, p.apply_inverse, saddle_rhs(rhs), config)
+    assert report.converged and expected.converged
+    assert report.iterations == expected.iterations
+    np.testing.assert_allclose(report.residual_history, expected.residual_history,
+                               rtol=1e-12, atol=0)
 
 
 def test_non_positive_preconditioner_is_a_breakdown():

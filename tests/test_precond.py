@@ -1,10 +1,13 @@
 """Transform-diagonal preconditioners: weights, powers, and dense agreement."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from abslap import dst
 from abslap.dst import laplacian_eigenvalues
 from abslap.grid import (
     GridSpec,
@@ -150,3 +153,38 @@ def test_length_and_dimension_validation():
         p.apply_inverse(np.zeros(17))
     with pytest.raises(ValueError):
         build_averaged(GridSpec(3, 1), separable_quadratic_coefficient(), Shift(1.0, 1.0))
+
+
+def test_concurrent_applies_match_serial(monkeypatch):
+    # four callers share one preconditioner, each transform splits across
+    # three workers (the gate is lowered for this small grid), and a tiny
+    # switch interval interleaves them finely
+    grid = GridSpec(255, 2)
+    p = build_averaged(grid, separable_quadratic_coefficient(), Shift(-600.0, 150.0))
+    rng = np.random.default_rng(23)
+    inputs = rng.standard_normal((4, 2 * grid.m))
+    monkeypatch.setattr(dst, "_cores", lambda: 1)
+    serial = [p.apply_inverse(w) for w in inputs]
+    monkeypatch.setattr(dst, "_cores", lambda: 3)
+    monkeypatch.setattr(dst, "_SPLIT_BLOCKS", 2)
+    results = [[] for _ in inputs]
+
+    def caller(k):
+        for _ in range(3):
+            results[k].append(p.apply_inverse(inputs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, expected in enumerate(serial):
+        assert len(results[k]) == 3
+        for got in results[k]:
+            np.testing.assert_array_equal(got, expected)
