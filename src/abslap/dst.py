@@ -173,13 +173,20 @@ class SineTransform:
         return (s @ self._check(v) @ s).reshape(np.shape(v))
 
 
+def axis_eigenvalues(grid: GridSpec) -> np.ndarray:
+    """Eigenvalues (4/h^2) sin^2(p pi h / 2), p = 1..n, of the Laplacian along one axis."""
+    h = grid.h
+    p = np.arange(1, grid.n + 1)
+    return (4.0 / h ** 2) * np.sin(0.5 * math.pi * h * p) ** 2
+
+
 def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     """Eigenvalues of the Dirichlet Laplacian on this grid, in DST basis order.
 
     Mode ordering matches the row-major vectorization used by the grid
-    operators, so dst(L dst(v)) scales coordinates by exactly this vector.
+    operators, so dst(L dst(v)) scales coordinates by exactly this vector:
+    entry (i, j) of its n-by-n view is lam1[i] + lam1[j], lam1 the
+    axis_eigenvalues.
     """
-    h = grid.h
-    p = np.arange(1, grid.n + 1)
-    lam1 = (4.0 / h ** 2) * np.sin(0.5 * math.pi * h * p) ** 2
+    lam1 = axis_eigenvalues(grid)
     return (lam1[:, None] + lam1[None, :]).ravel()

@@ -8,6 +8,13 @@ which the two-interval convergence bound controls.  A nonpositive
 preconditioned inner product aborts the run, since it certifies the
 preconditioner is not positive definite.
 
+A caller that knows an orthogonal basis W = W^T = W^-1 in which A and P are
+cheap passes it as `basis`.  The one recurrence then runs on
+(W A W, W P^-1 W, W rhs), whose iterates are W x_k, and the solve still
+takes rhs and returns x in the original basis, one transform each way.  The
+true residual at the end is always computed with the caller's apply_a, so
+it does not trust the rotated operator.
+
 Inner products and norms go through np.einsum, never np.dot or
 np.linalg.norm.  On long vectors those call the threaded BLAS dot, whose
 worker then busy-waits on another core for a tenth of a second or more;
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +54,21 @@ class SolveReport:
     wall_time: float
 
 
-def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()):
+@dataclass(frozen=True)
+class Basis:
+    """An orthogonal change of basis W = W^T = W^-1 and the solve's operators in it.
+
+    transform(v) = W v, apply_a(v) = W A W v and apply_pinv(v) = W P^-1 W v,
+    each on a flat vector and returning a new array.
+    """
+
+    transform: Callable[[np.ndarray], np.ndarray]
+    apply_a: Callable[[np.ndarray], np.ndarray]
+    apply_pinv: Callable[[np.ndarray], np.ndarray]
+
+
+def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig(),
+                 basis: Basis | None = None):
     """Solve A x = rhs with symmetric A and SPD preconditioner P, x0 = 0.
 
     apply_a and apply_pinv are callables on flat vectors; apply_pinv=None
@@ -54,24 +76,50 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     input: the solver reuses returned arrays as its work vectors.  rhs is
     never modified.  Returns (x, SolveReport).  Convergence is declared when
     the monitored residual drops below tol times its initial value.
+
+    With a basis W, the recurrence runs on (W A W, W P^-1 W, W rhs) and
+    apply_pinv is not called.  Its iterates are W x_k, with the same
+    monitored residuals as in the original basis, up to roundoff.  The
+    solve makes one transform of rhs and one of the result, and still
+    returns x in the original basis.  The true residual is taken with
+    apply_a in the original basis, never with basis.apply_a, so it checks
+    the rotated operator against the one the caller gave.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
     if apply_pinv is None:
         apply_pinv = lambda w: w
+    if basis is None:
+        x, history, converged = _lanczos(apply_a, apply_pinv, rhs, np.copy, config)
+    else:
+        x, history, converged = _lanczos(basis.apply_a, basis.apply_pinv, rhs,
+                                         basis.transform, config)
+        x = basis.transform(x)
 
+    true_rel = 0.0
+    if history[0] > 0.0:
+        residual = rhs - apply_a(x)
+        true_rel = math.sqrt(_dot(residual, residual)) / math.sqrt(_dot(rhs, rhs))
+    report = SolveReport(len(history) - 1, converged, np.asarray(history), true_rel,
+                         time.perf_counter() - start)
+    return x, report
+
+
+def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
+    """The MINRES recurrence from v = first(rhs), a new array the loop owns.
+
+    Returns (x, residual history, converged).  The work vectors are local,
+    so they are freed when it returns.
+    """
     x = np.zeros_like(rhs)
-    v = rhs.copy()
+    v = first(rhs)
     z = apply_pinv(v)
     gamma_sq = _dot(z, v)
     _check_inner_product(gamma_sq, v, z)
     gamma0 = math.sqrt(max(gamma_sq, 0.0))
     history = [gamma0]
-
     if gamma0 == 0.0:
-        report = SolveReport(0, True, np.asarray(history), 0.0,
-                             time.perf_counter() - start)
-        return x, report
+        return x, history, True
 
     _scale_pair(v, z, gamma0)
     v_prev = np.zeros_like(rhs)
@@ -85,9 +133,8 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     eta = gamma0
     target = config.tol * gamma0
     converged = False
-    iterations = 0
 
-    for j in range(1, config.max_iter + 1):
+    for _ in range(config.max_iter):
         q = apply_a(z)
         if np.may_share_memory(q, z):
             q = q.copy()  # q becomes v_next below, and z is still needed
@@ -117,7 +164,6 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
         w_next /= alpha1
         x += np.multiply(w_next, c_next * eta, out=scratch)
         eta = -s_next * eta
-        iterations = j
         history.append(abs(eta))
 
         if abs(eta) <= target:
@@ -135,11 +181,7 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
         s_prev, s_curr = s_curr, s_next
         beta = beta_next
 
-    residual = rhs - apply_a(x)
-    true_rel = math.sqrt(_dot(residual, residual)) / math.sqrt(_dot(rhs, rhs))
-    report = SolveReport(iterations, converged, np.asarray(history), true_rel,
-                         time.perf_counter() - start)
-    return x, report
+    return x, history, converged
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,6 +9,10 @@ equivalent to the symmetric indefinite block system
 The first block row matches the imaginary part of the complex equation and
 the second the real part; saddle_rhs builds that right-hand side, and
 real_to_complex unstacks the solution (z1; z2) into z1 + z2 i.
+
+For the constant-coefficient stencil K = L the 2D sine transform W
+diagonalizes K, so W A W (W on each half) has four diagonal blocks;
+SaddleOperator.apply_in_sine_basis applies it elementwise.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import StencilOperator
+from .dst import axis_eigenvalues
+from .grid import KIND_CONSTANT, StencilOperator
 
 
 @dataclass(frozen=True)
@@ -40,10 +45,14 @@ class SaddleOperator:
     def size(self) -> int:
         return 2 * self.m
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def _check(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.size,):
             raise ValueError(f"expected vector of length {self.size}, got shape {v.shape}")
+        return v
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        v = self._check(v)
         alpha, beta = self.shift.alpha, self.shift.beta
         swapped = v.reshape(2, self.m)[::-1]  # (v2; v1)
         out = self.k_op.apply(swapped)  # (K v2; K v1)
@@ -53,6 +62,34 @@ class SaddleOperator:
         out[0] += scratch[0]
         np.multiply(swapped[0], beta, out=scratch[1])
         out[1] -= scratch[1]
+        return out.ravel()
+
+    def apply_in_sine_basis(self, v: np.ndarray) -> np.ndarray:
+        """W A W v, W the 2D sine transform on each half, for the constant stencil.
+
+        The transform diagonalizes K = L with the Laplacian eigenvalues
+        Lambda, so in that basis the operator is [[beta I, Lambda + alpha I],
+        [Lambda + alpha I, -beta I]] and applies elementwise.  Lambda + alpha
+        is formed from the one-axis eigenvalues in one grid-sized scratch per
+        call, which the beta terms then reuse; no m-length array is kept.
+        Raises ValueError for a variable-coefficient stencil, which the
+        transform does not diagonalize.
+        """
+        if self.k_op.kind != KIND_CONSTANT:
+            raise ValueError("the sine transform diagonalizes only the "
+                             f"constant-coefficient stencil, not {self.k_op.kind!r}")
+        v = self._check(v)
+        alpha, beta = self.shift.alpha, self.shift.beta
+        n = self.k_op.grid.n
+        swapped = v.reshape(2, n, n)[::-1]  # (v2; v1)
+        lam1 = axis_eigenvalues(self.k_op.grid)
+        scratch = lam1[:, None] + lam1[None, :]
+        scratch += alpha  # Lambda + alpha, rounded as the preconditioner's weights
+        out = swapped * scratch
+        np.multiply(swapped[1], beta, out=scratch)
+        out[0] += scratch
+        np.multiply(swapped[0], beta, out=scratch)
+        out[1] -= scratch
         return out.ravel()
 
     def dense(self) -> np.ndarray:

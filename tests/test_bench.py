@@ -299,3 +299,54 @@ def test_default_shift_tables():
     assert len(DEFAULT_VARIABLE_SHIFTS) == 6
     assert (100.0, 100.0) in DEFAULT_CONSTANT_SHIFTS
     assert (-600.0, 150.0) in DEFAULT_VARIABLE_SHIFTS
+
+
+@pytest.mark.parametrize("coefficient, preconditioner, sizes, transforms", [
+    ("constant_one", "ideal", (63, 127), lambda iterations: 2),
+    ("constant_one", "averaged", (63,), lambda iterations: 2),
+    ("example2_poly", "averaged", (63,), lambda iterations: 2 * (iterations + 1)),
+])
+def test_each_row_makes_one_solve_call_that_returns_the_solution(
+        monkeypatch, coefficient, preconditioner, sizes, transforms):
+    # The benchmark wraps bench.minres_solve by name, times that call as the
+    # solve and takes the forward error of what it returns, so each row makes
+    # one such call, and every transform of the solve happens inside it.
+    # Constant-coefficient rows run in the sine basis: one transform of the
+    # right-hand side and one of the solution.  Others make two per P^-1.
+    from abslap import bench
+    from abslap.dst import SineTransform
+    from abslap.saddle import real_to_complex
+
+    exact_solutions, solves, transform_calls = [], [], [0]
+    original_rhs, original_solve = bench.generate_rhs, bench.minres_solve
+    original_apply = SineTransform.apply
+
+    def recording_rhs(*args):
+        exact, rhs = original_rhs(*args)
+        exact_solutions.append(exact)
+        return exact, rhs
+
+    def recording_solve(*args, **kwargs):
+        before = transform_calls[0]
+        x, report = original_solve(*args, **kwargs)
+        solves.append((x, report, transform_calls[0] - before))
+        return x, report
+
+    def counting_apply(self, v):
+        transform_calls[0] += 1
+        return original_apply(self, v)
+
+    monkeypatch.setattr(bench, "generate_rhs", recording_rhs)
+    monkeypatch.setattr(bench, "minres_solve", recording_solve)
+    monkeypatch.setattr(SineTransform, "apply", counting_apply)
+    shifts = DEFAULT_CONSTANT_SHIFTS if coefficient == "constant_one" else DEFAULT_VARIABLE_SHIFTS
+    spec = ExperimentSpec(grid_sizes=sizes, shifts=shifts, coefficient=coefficient,
+                          preconditioner=preconditioner, tol=1e-8)
+    rows = run_experiment(spec)
+    assert len(rows) == len(solves) == len(exact_solutions) == len(sizes) * len(shifts)
+    for row, exact, (x, report, calls) in zip(rows, exact_solutions, solves):
+        assert row.error is None and row.converged
+        assert row.iterations == report.iterations
+        error = np.linalg.norm(real_to_complex(x) - exact) / np.linalg.norm(exact)
+        assert error <= 100.0 * spec.tol
+        assert calls == transforms(report.iterations)

@@ -9,13 +9,14 @@ from abslap.grid import (
     GridSpec,
     assemble_laplacian_2d_constant,
     assemble_laplacian_2d_variable,
+    constant_coefficient,
     separable_quadratic_coefficient,
 )
 from abslap import minres
 from abslap.minres import SolverConfig, bound_iterations, minres_solve
-from abslap.precond import build_averaged, build_ideal
+from abslap.precond import build_averaged, build_ideal, sine_basis
 from abslap.saddle import SaddleOperator, Shift, saddle_rhs
-from abslap.bench import generate_rhs
+from abslap.bench import DEFAULT_CONSTANT_SHIFTS, generate_rhs
 
 
 def test_identity_system_converges_immediately():
@@ -72,6 +73,51 @@ def test_variable_coefficient_iteration_count():
                              SolverConfig(tol=1e-8, max_iter=100))
     assert report.converged
     assert report.iterations <= 20
+
+
+@pytest.mark.parametrize("n", [15, 63, 255])
+@pytest.mark.parametrize("preconditioner", ["ideal", "averaged"])
+def test_sine_basis_solve_matches_original_basis(n, preconditioner):
+    grid = GridSpec(n, 2)
+    k_op = assemble_laplacian_2d_constant(grid)
+    config = SolverConfig(tol=1e-8, max_iter=50)
+    for index, (alpha, beta) in enumerate(DEFAULT_CONSTANT_SHIFTS):
+        shift = Shift(alpha, beta)
+        if preconditioner == "ideal":
+            p = build_ideal(grid, shift)
+        else:
+            p = build_averaged(grid, constant_coefficient(1.0), shift)
+        op = SaddleOperator(k_op, shift)
+        _, rhs = generate_rhs(grid, k_op, shift, seed=300 + index)
+        b = saddle_rhs(rhs)
+        x, report = minres_solve(op.apply, p.apply_inverse, b, config)
+        y, rotated = minres_solve(op.apply, p.apply_inverse, b, config,
+                                  basis=sine_basis(op, p))
+        assert report.converged and rotated.converged
+        assert report.iterations == rotated.iterations == 2
+        hist, rot = report.residual_history, rotated.residual_history
+        assert np.abs(rot - hist).max() <= 1e-10 * hist[0]
+        assert np.abs(y - x).max() <= 1e-10 * np.abs(x).max()
+        assert rotated.final_true_residual <= 10.0 * config.tol
+
+
+def test_sine_basis_true_residual_uses_the_original_operator():
+    # the loop runs on the exact diagonal operator, the residual check on an
+    # operator scaled by 1 + 1e-6: the report must show the mismatch
+    grid = GridSpec(63, 2)
+    shift = Shift(-100.0, 1.0)
+    k_op = assemble_laplacian_2d_constant(grid)
+    op = SaddleOperator(k_op, shift)
+    basis = sine_basis(op, build_ideal(grid, shift))
+    _, rhs = generate_rhs(grid, k_op, shift, seed=17)
+    config = SolverConfig(tol=1e-8, max_iter=50)
+    _, exact = minres_solve(op.apply, None, saddle_rhs(rhs), config, basis=basis)
+    _, report = minres_solve(lambda v: op.apply(v) * (1.0 + 1e-6), None, saddle_rhs(rhs),
+                             config, basis=basis)
+    assert exact.converged and exact.final_true_residual <= 10.0 * config.tol
+    assert report.converged and report.iterations == 2
+    assert report.final_true_residual > 10.0 * config.tol
+    assert report.final_true_residual == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_history_monotone_and_convergence_flag():

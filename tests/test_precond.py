@@ -52,6 +52,21 @@ def test_inverse_forward_round_trip_and_zero():
     np.testing.assert_array_equal(p.apply_inverse(np.zeros(2 * grid.m)), np.zeros(2 * grid.m))
 
 
+def test_sine_basis_inverse_is_the_rotated_inverse():
+    grid = GridSpec(15, 2)
+    p = build_ideal(grid, Shift(-100.0, 1.0))
+    w = np.random.default_rng(2).standard_normal(2 * grid.m)
+    kept = w.copy()
+
+    def rotate(v):
+        return p.transform.apply(v.reshape(2, grid.m)).ravel()
+
+    expected = rotate(p.apply_inverse(rotate(w)))
+    out = p.apply_inverse_in_sine_basis(w)
+    np.testing.assert_array_equal(w, kept)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
 def test_dense_materialization_matches_absolute_value_oracle():
     grid = GridSpec(3, 2)
     shift = Shift(100.0, 100.0)
@@ -151,6 +166,8 @@ def test_length_and_dimension_validation():
     p = build_ideal(GridSpec(3, 2), Shift(1.0, 1.0))
     with pytest.raises(ValueError):
         p.apply_inverse(np.zeros(17))
+    with pytest.raises(ValueError):
+        p.apply_inverse_in_sine_basis(np.zeros(17))
     with pytest.raises(ValueError):
         build_averaged(GridSpec(3, 1), separable_quadratic_coefficient(), Shift(1.0, 1.0))
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from abslap.dst import sine_matrix
 from abslap.grid import (
     GridSpec,
     assemble_laplacian_2d_constant,
@@ -70,6 +71,24 @@ def test_block_apply_matches_per_half_formula():
     out = op.apply(v)
     np.testing.assert_array_equal(v, kept)
     np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+
+
+def test_sine_basis_apply_is_the_rotated_operator():
+    grid = GridSpec(7, 2)
+    op = SaddleOperator(assemble_laplacian_2d_constant(grid), Shift(-7.0, 4.0))
+    s = sine_matrix(grid.n)
+    w = np.kron(np.eye(2), np.kron(s, s))
+    v = np.random.default_rng(8).standard_normal(op.size)
+    kept = v.copy()
+    expected = w @ (op.dense() @ (w @ v))
+    out = op.apply_in_sine_basis(v)
+    np.testing.assert_array_equal(v, kept)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    with pytest.raises(ValueError):
+        op.apply_in_sine_basis(v[:-1])
+    variable = assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())
+    with pytest.raises(ValueError):
+        SaddleOperator(variable, Shift(-7.0, 4.0)).apply_in_sine_basis(v)
 
 
 def test_operator_symmetry():
