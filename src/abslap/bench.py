@@ -34,7 +34,7 @@ from .grid import (KIND_CONSTANT, CoefficientField, GridSpec,
                    smallest_laplacian_eigenvalue)
 from .minres import SolverConfig, bound_iterations, minres_solve
 from .precond import build_averaged, build_ideal, sine_basis
-from .saddle import SaddleOperator, Shift, apply_complex_shifted, saddle_rhs
+from .saddle import SaddleOperator, Shift, saddle_rhs
 from .spectral import BRANCH_VIOLATED, VERIFY_CAP_2D, compute_bounds, verify_spectrum
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -103,6 +103,7 @@ class ExperimentSpec:
     verify_spectrum_up_to: int = 0
 
     def __post_init__(self):
+        SolverConfig(self.tol, self.max_iter)  # raises on a bad tol or max_iter
         if self.preconditioner not in ("ideal", "averaged", "none"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.preconditioner == "ideal" and self.coefficient != "constant_one":
@@ -140,11 +141,32 @@ def coefficient_from_spec(name: str) -> CoefficientField:
 
 
 def generate_rhs(grid: GridSpec, k_op, shift: Shift, seed: int):
-    """Manufactured problem: returns (exact complex solution, right-hand side)."""
+    """Manufactured problem: returns (exact complex solution, right-hand side).
+
+    The block operator maps the stacked exact solution (Re z; Im z) to
+    (Im f; Re f), so one apply gives f = (K + (alpha + beta i) I) z.
+    """
     stream = RandomStream(seed)
     exact = stream.normals(grid.m) + 1j * stream.normals(grid.m)
-    rhs = apply_complex_shifted(k_op, shift, exact)
-    return exact, rhs
+    b = SaddleOperator(k_op, shift).apply(np.concatenate([exact.real, exact.imag]))
+    return exact, b[grid.m:] + 1j * b[:grid.m]
+
+
+def solve_shifted(k_op, shift: Shift, precond, f, config: SolverConfig):
+    """Solve (K + (alpha + beta i) I) z = f by MINRES on the real block system.
+
+    precond=None solves unpreconditioned.  A preconditioner with the constant
+    stencil solves in the sine basis, where A and P are diagonal: 2
+    transforms per solve, not 2 per P^-1 apply.  Makes one minres_solve
+    call, looked up in this module, and returns its (x, SolveReport) with x
+    the stacked (Re z; Im z) in the original basis.
+    """
+    operator = SaddleOperator(k_op, shift)
+    apply_pinv = precond.apply_inverse if precond is not None else None
+    basis = None
+    if precond is not None and k_op.kind == KIND_CONSTANT:
+        basis = sine_basis(operator, precond)
+    return minres_solve(operator.apply, apply_pinv, saddle_rhs(f), config, basis=basis)
 
 
 def _iteration_bound(spec: ExperimentSpec, coefficient, grid, shift):
@@ -196,17 +218,10 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
         precond = build_averaged(grid, coefficient, shift)
     else:
         precond = None
+    # the solution takes the exact solution's name, which frees it
     _, rhs = generate_rhs(grid, k_op, shift, seed)
-    operator = SaddleOperator(k_op, shift)
-    config = SolverConfig(tol=spec.tol, max_iter=spec.max_iter)
-    apply_pinv = precond.apply_inverse if precond is not None else None
-    # the sine transform diagonalizes a constant-coefficient operator too:
-    # the solve then makes 2 transforms in all instead of 2 per P^-1 apply
-    basis = None
-    if precond is not None and k_op.kind == KIND_CONSTANT:
-        basis = sine_basis(operator, precond)
-    _, report = minres_solve(operator.apply, apply_pinv, saddle_rhs(rhs), config,
-                             basis=basis)
+    _, report = solve_shifted(k_op, shift, precond, rhs,
+                              SolverConfig(tol=spec.tol, max_iter=spec.max_iter))
 
     row.iterations = report.iterations
     row.converged = report.converged
@@ -219,6 +234,11 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
             row.spectrum_verdict = "pass" if cert.all_inside else "fail"
         # an uncertified interval proves nothing either way: leave "skipped"
     row.wall_time = time.perf_counter() - start
+    # Free the solution and the right-hand side before the preconditioner.
+    # CPython clears a frame's locals in the order they first appear, which
+    # frees `precond` first; the next row's build on a large grid then
+    # faults in fresh pages instead of reusing the freed ones.
+    del _, rhs
     if report.converged and not report.final_true_residual <= 10.0 * spec.tol:
         raise RuntimeError(
             f"true residual {report.final_true_residual:.3e} exceeds ten times "
@@ -232,26 +252,26 @@ def all_clear(rows: list[ReportRow]) -> bool:
 
 
 def _row_payload(row: ReportRow) -> dict:
-    payload = {
-        "n": row.n,
-        "dof": row.dof,
-        "alpha": row.alpha,
-        "beta": row.beta,
-        "iterations": row.iterations,
-        "wall_time": row.wall_time,
-        "true_residual": row.true_residual,
-        "bound_iterations": row.bound_iterations,
-        "spectrum_verdict": row.spectrum_verdict,
-    }
-    if row.error is not None:
-        payload["error"] = row.error
-    return payload
+    """The row's fields in order, less `converged`, and `error` only when set."""
+    return {k: v for k, v in vars(row).items()
+            if k != "converged" and not (k == "error" and v is None)}
+
+
+def strict_json(payload) -> str:
+    """Indented RFC 8259 JSON: a non-finite float, which it cannot hold, becomes null."""
+    def finite(value):
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [finite(v) for v in value]
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+    return json.dumps(finite(payload), indent=2, allow_nan=False) + "\n"
 
 
 def emit_report(rows: list[ReportRow], format: str = "text_table") -> str:
     """Serialize rows as json, csv, or an aligned text table."""
     if format == "json":
-        return json.dumps([_row_payload(r) for r in rows], indent=2) + "\n"
+        return strict_json([_row_payload(r) for r in rows])
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -274,15 +294,8 @@ def _text_table(rows: list[ReportRow]) -> str:
     """Iter/time pairs per shift, one line per grid size."""
     if not rows:
         return "(no rows)\n"
-    shifts = []
-    for r in rows:
-        key = (r.alpha, r.beta)
-        if key not in shifts:
-            shifts.append(key)
-    sizes = []
-    for r in rows:
-        if r.n not in sizes:
-            sizes.append(r.n)
+    shifts = list(dict.fromkeys((r.alpha, r.beta) for r in rows))
+    sizes = list(dict.fromkeys(r.n for r in rows))
     by_key = {(r.n, r.alpha, r.beta): r for r in rows}
 
     width = 16

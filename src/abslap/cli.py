@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bench import (DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS,
                     ExperimentSpec, all_clear, coefficient_from_spec,
-                    emit_report, run_experiment)
+                    emit_report, run_experiment, strict_json)
 from .grid import GridSpec
 from .saddle import Shift
 from .spectral import VERIFY_CAP_2D, certificate_payload, verify_spectrum
@@ -78,12 +77,6 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _default_precond(args) -> str:
-    if args.precond is not None:
-        return args.precond
-    return "ideal" if args.coef == "const" else "averaged"
-
-
 def _cmd_run(args) -> int:
     """solve and bench; solve runs one shift, the coefficient's first default if none is given."""
     coefficient_name = COEF_CHOICES[args.coef]
@@ -92,11 +85,14 @@ def _cmd_run(args) -> int:
         if args.alpha is not None and len(shifts) != 1:
             raise SystemExit("solve takes exactly one shift; use bench for sweeps")
         shifts = shifts[:1]
-    spec = ExperimentSpec(grid_sizes=tuple(args.n), shifts=tuple(shifts),
-                          coefficient=coefficient_name,
-                          preconditioner=_default_precond(args),
-                          tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-                          verify_spectrum_up_to=args.verify_spectrum_up_to)
+    precond = args.precond or ("ideal" if args.coef == "const" else "averaged")
+    try:
+        spec = ExperimentSpec(grid_sizes=tuple(args.n), shifts=tuple(shifts),
+                              coefficient=coefficient_name, preconditioner=precond,
+                              tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+                              verify_spectrum_up_to=args.verify_spectrum_up_to)
+    except ValueError as exc:
+        args.usage_error(str(exc))  # exits 2
     rows = run_experiment(spec)
     _emit(emit_report(rows, args.format or "text_table"), args.out)
     return 0 if all_clear(rows) else 1
@@ -120,7 +116,7 @@ def _cmd_verify(args) -> int:
                 ok = ok and cert.all_inside
     fmt = args.format or "json"
     if fmt == "json":
-        text = json.dumps(payloads, indent=2) + "\n"
+        text = strict_json(payloads)
     else:
         lines = ["n,alpha,beta,branch,certified,mu_inner,mu_outer,all_inside,max_violation"]
         for p in payloads:
@@ -161,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(rows above n=31 are skipped)")
     _add_common(verify, many_n=True, n_type=_verify_int_list)
 
-    solve.set_defaults(func=_cmd_run, n=[63], one_shift=True)
-    bench.set_defaults(func=_cmd_run, n=[15, 31, 63], one_shift=False)
+    solve.set_defaults(func=_cmd_run, n=[63], one_shift=True, usage_error=solve.error)
+    bench.set_defaults(func=_cmd_run, n=[15, 31, 63], one_shift=False, usage_error=bench.error)
     verify.set_defaults(func=_cmd_verify, n=[3, 7, 15])
     return parser
 

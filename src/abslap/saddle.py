@@ -118,13 +118,3 @@ def saddle_rhs(f: np.ndarray) -> np.ndarray:
     f = np.asarray(f)
     return np.concatenate([np.imag(f).astype(float), np.real(f).astype(float)])
 
-
-def apply_complex_shifted(k_op: StencilOperator, shift: Shift, z: np.ndarray) -> np.ndarray:
-    """Evaluate (K + (alpha + beta i) I) z through real stencil applies."""
-    z = np.asarray(z)
-    zr = np.real(z).astype(float)
-    zi = np.imag(z).astype(float)
-    alpha, beta = shift.alpha, shift.beta
-    real = k_op.apply(zr) + alpha * zr - beta * zi
-    imag = k_op.apply(zi) + alpha * zi + beta * zr
-    return real + 1j * imag

@@ -21,9 +21,10 @@ from abslap.bench import (
     generate_rhs,
     run_experiment,
 )
-from abslap.grid import GridSpec, assemble_laplacian_2d_constant
+from abslap.grid import (GridSpec, assemble_laplacian_2d_constant,
+                         assemble_laplacian_2d_variable, separable_quadratic_coefficient)
 from abslap.oracle import dense_complex_solve
-from abslap.saddle import Shift, apply_complex_shifted
+from abslap.saddle import SaddleOperator, Shift, saddle_rhs
 
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -99,11 +100,41 @@ def test_generate_rhs_deterministic_and_exact():
     np.testing.assert_array_equal(rhs1, rhs2)
     np.testing.assert_array_equal(exact1, exact2)
 
-    residual = np.linalg.norm(apply_complex_shifted(k_op, shift, exact1) - rhs1)
+    # the dense complex product does not go through the stencil apply
+    shifted = k_op.dense() + (shift.alpha + 1j * shift.beta) * np.eye(grid.m)
+    residual = np.linalg.norm(shifted @ exact1 - rhs1)
     assert residual <= 1e-12 * np.linalg.norm(rhs1)
+    # f is unstacked from one block apply on (Re z; Im z), bit for bit
+    stacked = np.concatenate([exact1.real, exact1.imag])
+    np.testing.assert_array_equal(saddle_rhs(rhs1), SaddleOperator(k_op, shift).apply(stacked))
 
     _, rhs_other = generate_rhs(grid, k_op, shift, seed=12)
     assert np.abs(rhs1 - rhs_other).max() > 0.0
+
+
+@pytest.mark.parametrize("coefficient, alpha, beta, entries, total", [
+    ("constant_one", 100.0, 100.0,
+     {0: ("0x1.11e152f31010dp+9", "-0x1.95dfaf2165686p+6"),
+      24: ("-0x1.d3660e5b218ccp+6", "-0x1.2549d72d29136p+6"),
+      48: ("-0x1.fc1e742a7ca70p+6", "-0x1.10da94afbe2bbp+8")},
+     ("0x1.1e31294889e85p+9", "-0x1.ef60180a23d9fp+8")),
+    ("example2_poly", -600.0, 150.0,
+     {0: ("0x1.0c879aa6f8669p+17", "-0x1.0de814b692e83p+16"),
+      24: ("-0x1.650a46049c02dp+15", "-0x1.b2f2655f320f9p+14"),
+      48: ("-0x1.04c6d59f0b888p+16", "-0x1.23e417f21965bp+16")},
+     ("0x1.67547de597acap+16", "-0x1.4e2b71c5e063ep+15")),
+])
+def test_generate_rhs_golden_bits(coefficient, alpha, beta, entries, total):
+    # the right-hand side at n=7, seed 11, bit for bit as float.hex strings
+    grid = GridSpec(7, 2)
+    if coefficient == "constant_one":
+        k_op = assemble_laplacian_2d_constant(grid)
+    else:
+        k_op = assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())
+    _, rhs = generate_rhs(grid, k_op, Shift(alpha, beta), seed=11)
+    for index, (real, imag) in entries.items():
+        assert (rhs[index].real.hex(), rhs[index].imag.hex()) == (real, imag)
+    assert (rhs.sum().real.hex(), rhs.sum().imag.hex()) == total
 
 
 def test_solution_matches_exact_and_dense_reference():
@@ -113,24 +144,61 @@ def test_solution_matches_exact_and_dense_reference():
     rows = run_experiment(spec)
     assert rows[0].converged
 
-    # replay the row by hand to compare the solution vectors themselves
-    from abslap.minres import SolverConfig, minres_solve
+    # replay the row through the same solve to compare the solution vectors
+    from abslap.bench import solve_shifted
+    from abslap.minres import SolverConfig
     from abslap.precond import build_ideal
-    from abslap.saddle import SaddleOperator, real_to_complex, saddle_rhs
+    from abslap.saddle import real_to_complex
 
     grid = GridSpec(15, 2)
     k_op = assemble_laplacian_2d_constant(grid)
     shift = Shift(100.0, 100.0)
     row_seed = int(RandomStream(spec.seed).bits(1)[0])
     exact, rhs = generate_rhs(grid, k_op, shift, row_seed)
-    op = SaddleOperator(k_op, shift)
-    x, report = minres_solve(op.apply, build_ideal(grid, shift).apply_inverse,
-                             saddle_rhs(rhs), SolverConfig(tol=1e-8, max_iter=100))
+    x, report = solve_shifted(k_op, shift, build_ideal(grid, shift), rhs,
+                              SolverConfig(tol=1e-8, max_iter=100))
     assert report.iterations == rows[0].iterations
     solution = real_to_complex(x)
     assert np.linalg.norm(solution - exact) <= 1e-6 * np.linalg.norm(exact)
     reference = dense_complex_solve(k_op.dense(), shift, rhs)
     assert np.linalg.norm(solution - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("coefficient, preconditioner", [
+    ("constant_one", "ideal"), ("example2_poly", "averaged")])
+def test_row_frees_solution_and_rhs_before_the_preconditioner(
+        monkeypatch, coefficient, preconditioner):
+    # On large grids the next row's build reuses what this row frees; with
+    # the preconditioner's weights freed first, it faults in fresh pages.
+    import weakref
+
+    from abslap import bench
+
+    freed = []
+    original_build = getattr(bench, f"build_{preconditioner}")
+    original_rhs, original_solve = bench.generate_rhs, bench.minres_solve
+
+    def solve(*args, **kwargs):
+        x, report = original_solve(*args, **kwargs)
+        weakref.finalize(x, freed.append, "x")
+        return x, report
+
+    def rhs(*args):
+        exact, f = original_rhs(*args)
+        weakref.finalize(f, freed.append, "f")
+        return exact, f
+
+    def build(*args):
+        p = original_build(*args)
+        weakref.finalize(p.weights, freed.append, "weights")
+        return p
+
+    monkeypatch.setattr(bench, f"build_{preconditioner}", build)
+    monkeypatch.setattr(bench, "generate_rhs", rhs)
+    monkeypatch.setattr(bench, "minres_solve", solve)
+    run_experiment(ExperimentSpec(grid_sizes=(7,), shifts=((100.0, -100.0),),
+                                  coefficient=coefficient, preconditioner=preconditioner))
+    assert freed == ["x", "f", "weights"]
 
 
 def test_coefficient_name_mapping():
@@ -153,6 +221,10 @@ def test_experiment_spec_validation():
         ExperimentSpec(grid_sizes=(0,))
     with pytest.raises(ValueError):
         ExperimentSpec(shifts=((1.0, 2.0, 3.0),))
+    # tol and max_iter are checked by SolverConfig when the spec is made
+    for tol, max_iter in ((0.0, 10), (1.0, 10), (2.0, 10), (1e-8, 0), (1e-8, -1)):
+        with pytest.raises(ValueError):
+            ExperimentSpec(tol=tol, max_iter=max_iter)
 
 
 def test_constant_sweep_takes_two_iterations():
@@ -269,8 +341,13 @@ def test_emit_report_error_channels():
     failing = ReportRow(n=3, dof=18, alpha=1.0, beta=0.0, iterations=0, wall_time=0.0,
                         true_residual=math.inf, bound_iterations=None,
                         spectrum_verdict="skipped", converged=False, error="boom")
-    payload = json.loads(emit_report([failing], "json"))
+    # strict JSON: Infinity and NaN are not JSON, a non-finite residual is null
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    payload = json.loads(emit_report([failing], "json"), parse_constant=reject)
     assert payload[0]["error"] == "boom"
+    assert payload[0]["true_residual"] is None
     table = emit_report([failing], "text_table")
     assert "err" in table
     csv_text = emit_report([failing], "csv")

@@ -121,6 +121,42 @@ def test_verify_above_cap_is_a_usage_error(capsys):
     assert "n=31" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--coef", "example2", "--precond", "ideal"], "ideal preconditioner"),
+    (["solve", "--n", "7", "--tol", "2"], "tol must lie in (0, 1)"),
+    (["bench", "--n", "7", "--tol", "0"], "tol must lie in (0, 1)"),
+    (["bench", "--n", "7", "--max-iter", "0"], "max_iter must be positive"),
+], ids=["ideal-example2", "tol-2", "tol-0", "max-iter-0"])
+def test_invalid_spec_is_a_usage_error(capsys, argv, message):
+    # refused before any row runs: exit 2 and a usage message, no traceback
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "usage:" in captured.err
+
+
+def test_verify_json_is_strict(capsys):
+    # a zero denominator makes the tilde outer bound infinite: it is null,
+    # since Infinity is not JSON
+    from abslap.bench import coefficient_from_spec
+    from abslap.grid import GridSpec, smallest_laplacian_eigenvalue
+
+    gamma = coefficient_from_spec("example2_poly").gamma
+    alpha = -(smallest_laplacian_eigenvalue(GridSpec(3, 2)) * gamma + 1.0)
+    code = main(["verify", "--coef", "example2", "--n", "3", f"--alpha={alpha!r}",
+                 "--beta", "1", "--format", "json"])
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0
+    assert payload[0]["certified"] is False
+    assert payload[0]["mu_bounds"]["outer"] is None
+
+
 def test_rejects_grid_size_not_power_of_two_minus_one():
     with pytest.raises(SystemExit) as err:
         main(["solve", "--n", "10", "--alpha", "1", "--beta", "1"])

@@ -16,7 +16,7 @@ from abslap import minres
 from abslap.minres import SolverConfig, bound_iterations, minres_solve
 from abslap.precond import build_averaged, build_ideal, sine_basis
 from abslap.saddle import SaddleOperator, Shift, saddle_rhs
-from abslap.bench import DEFAULT_CONSTANT_SHIFTS, generate_rhs
+from abslap.bench import DEFAULT_CONSTANT_SHIFTS, generate_rhs, solve_shifted
 
 
 def test_identity_system_converges_immediately():
@@ -54,9 +54,7 @@ def test_two_iterations_with_exact_preconditioner():
     k_op = assemble_laplacian_2d_constant(grid)
     p = build_ideal(grid, shift)
     _, rhs = generate_rhs(grid, k_op, shift, seed=123)
-    op = SaddleOperator(k_op, shift)
-    _, report = minres_solve(op.apply, p.apply_inverse, saddle_rhs(rhs),
-                             SolverConfig(tol=1e-8, max_iter=50))
+    _, report = solve_shifted(k_op, shift, p, rhs, SolverConfig(tol=1e-8, max_iter=50))
     assert report.converged
     assert report.iterations == 2
 
@@ -68,9 +66,7 @@ def test_variable_coefficient_iteration_count():
     k_op = assemble_laplacian_2d_variable(grid, coef)
     p = build_averaged(grid, coef, shift)
     _, rhs = generate_rhs(grid, k_op, shift, seed=7)
-    op = SaddleOperator(k_op, shift)
-    _, report = minres_solve(op.apply, p.apply_inverse, saddle_rhs(rhs),
-                             SolverConfig(tol=1e-8, max_iter=100))
+    _, report = solve_shifted(k_op, shift, p, rhs, SolverConfig(tol=1e-8, max_iter=100))
     assert report.converged
     assert report.iterations <= 20
 
@@ -127,9 +123,8 @@ def test_history_monotone_and_convergence_flag():
     k_op = assemble_laplacian_2d_variable(grid, coef)
     p = build_averaged(grid, coef, shift)
     _, rhs = generate_rhs(grid, k_op, shift, seed=99)
-    op = SaddleOperator(k_op, shift)
     config = SolverConfig(tol=1e-8, max_iter=200)
-    _, report = minres_solve(op.apply, p.apply_inverse, saddle_rhs(rhs), config)
+    _, report = solve_shifted(k_op, shift, p, rhs, config)
 
     hist = np.asarray(report.residual_history)
     assert hist[0] > 0.0
@@ -161,11 +156,10 @@ def test_solve_matches_blas_inner_product_reference(monkeypatch):
     k_op = assemble_laplacian_2d_variable(grid, coef)
     p = build_averaged(grid, coef, shift)
     _, rhs = generate_rhs(grid, k_op, shift, seed=41)
-    op = SaddleOperator(k_op, shift)
     config = SolverConfig(tol=1e-8, max_iter=100)
-    _, report = minres_solve(op.apply, p.apply_inverse, saddle_rhs(rhs), config)
+    _, report = solve_shifted(k_op, shift, p, rhs, config)
     monkeypatch.setattr(minres, "_dot", lambda a, b: float(np.dot(a, b)))
-    _, expected = minres_solve(op.apply, p.apply_inverse, saddle_rhs(rhs), config)
+    _, expected = solve_shifted(k_op, shift, p, rhs, config)
     assert report.converged and expected.converged
     assert report.iterations == expected.iterations
     np.testing.assert_allclose(report.residual_history, expected.residual_history,
@@ -183,9 +177,7 @@ def test_max_iter_exhaustion_reports_unconverged():
     shift = Shift(100.0, 100.0)
     k_op = assemble_laplacian_2d_constant(grid)
     _, rhs = generate_rhs(grid, k_op, shift, seed=2)
-    op = SaddleOperator(k_op, shift)
-    _, report = minres_solve(op.apply, None, saddle_rhs(rhs),
-                             SolverConfig(tol=1e-12, max_iter=5))
+    _, report = solve_shifted(k_op, shift, None, rhs, SolverConfig(tol=1e-12, max_iter=5))
     assert not report.converged
     assert report.iterations == 5
     assert len(report.residual_history) == 6

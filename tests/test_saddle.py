@@ -10,13 +10,7 @@ from abslap.grid import (
     assemble_laplacian_2d_variable,
     separable_quadratic_coefficient,
 )
-from abslap.saddle import (
-    SaddleOperator,
-    Shift,
-    apply_complex_shifted,
-    real_to_complex,
-    saddle_rhs,
-)
+from abslap.saddle import SaddleOperator, Shift, real_to_complex, saddle_rhs
 
 
 class _ZeroStencil:
@@ -125,17 +119,9 @@ def test_stacking_round_trips():
         real_to_complex(np.zeros(5))
 
 
-def test_apply_complex_shifted_examples():
-    k_op = assemble_laplacian_2d_constant(GridSpec(1, 2))
-    out = apply_complex_shifted(k_op, Shift(1.0, 2.0), np.array([1.0 + 0.0j]))
-    np.testing.assert_allclose(out, [17.0 + 2.0j], rtol=0, atol=0)
-
-    grid = GridSpec(3, 2)
-    k2 = assemble_laplacian_2d_constant(grid)
-    z = np.arange(1.0, 10.0)  # purely real input
-    out2 = apply_complex_shifted(k2, Shift(3.0, 0.0), z)
-    np.testing.assert_allclose(out2.imag, 0.0, rtol=0, atol=0)
-    np.testing.assert_allclose(out2.real, k2.apply(z) + 3.0 * z, rtol=1e-14)
+def _complex_shifted(k_op, shift, z):
+    """(K + (alpha + beta i) I) z from the dense stencil, not its apply."""
+    return (k_op.dense() + (shift.alpha + 1j * shift.beta) * np.eye(z.size)) @ z
 
 
 def test_block_solution_recovers_complex_solution():
@@ -145,7 +131,7 @@ def test_block_solution_recovers_complex_solution():
         grid = GridSpec(n, 2)
         k_op = assemble_laplacian_2d_constant(grid)
         z = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
-        f = apply_complex_shifted(k_op, shift, z)
+        f = _complex_shifted(k_op, shift, z)
 
         op = SaddleOperator(k_op, shift)
         stacked = np.linalg.solve(op.dense(), saddle_rhs(f))
@@ -162,10 +148,24 @@ def test_block_apply_consistent_with_complex_apply():
     rng = np.random.default_rng(23)
     for _ in range(5):
         z = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
-        f = apply_complex_shifted(k_op, shift, z)
+        f = _complex_shifted(k_op, shift, z)
         lhs = op.apply(np.concatenate([z.real, z.imag]))
         rhs = saddle_rhs(f)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * max(1.0, np.linalg.norm(rhs))
+
+
+def test_apply_complex_shifted_examples():
+    # (K + (alpha + beta i) I) z through the block operator: f is stacked as (Im f; Re f)
+    # n=1, K = [[16]]: (16 + 1 + 2i) * 1 = 17 + 2i
+    one = SaddleOperator(assemble_laplacian_2d_constant(GridSpec(1, 2)), Shift(1.0, 2.0))
+    np.testing.assert_array_equal(one.apply(np.array([1.0, 0.0])), [2.0, 17.0])
+    # a real z with a real shift gives a real f: the Im f half is exactly 0
+    k2 = assemble_laplacian_2d_constant(GridSpec(3, 2))
+    z = np.arange(1.0, 10.0)
+    out = SaddleOperator(k2, Shift(3.0, 0.0)).apply(np.concatenate([z, np.zeros(9)]))
+    np.testing.assert_array_equal(out[:9], 0.0)
+    np.testing.assert_allclose(out[9:], _complex_shifted(k2, Shift(3.0, 0.0), z).real,
+                               rtol=1e-14)
 
 
 def test_length_validation():
