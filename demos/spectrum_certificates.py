@@ -1,7 +1,8 @@
 """Dense desk-scale certificates for the preconditioned spectrum.
 
-At small sizes the preconditioned block operator can be symmetrized and
-its spectrum computed densely.  The certificate compares every eigenvalue
+At small sizes the spectrum of the symmetrized preconditioned block
+operator can be computed densely: it is plus and minus the singular values
+of one complex n^2-by-n^2 matrix.  The certificate compares every eigenvalue
 against the closed-form interval for the active branch: for alpha >= 0
 the interval is [1/mu0, mu0] in magnitude with mu0 = sqrt(2 a_max/a_min);
 for alpha < 0 a sharper tilde interval applies whenever a set of sign

@@ -65,7 +65,7 @@ def _shifts_from_args(args, coefficient_name: str):
             return list(DEFAULT_CONSTANT_SHIFTS)
         return list(DEFAULT_VARIABLE_SHIFTS)
     if args.alpha is None or args.beta is None or len(args.alpha) != len(args.beta):
-        raise SystemExit("--alpha and --beta must both be given, with equal counts")
+        args.usage_error("--alpha and --beta must both be given, with equal counts")
     return list(zip(args.alpha, args.beta))
 
 
@@ -83,7 +83,7 @@ def _cmd_run(args) -> int:
     shifts = _shifts_from_args(args, coefficient_name)
     if args.one_shift:
         if args.alpha is not None and len(shifts) != 1:
-            raise SystemExit("solve takes exactly one shift; use bench for sweeps")
+            args.usage_error("solve takes exactly one shift; use bench for sweeps")
         shifts = shifts[:1]
     precond = args.precond or ("ideal" if args.coef == "const" else "averaged")
     try:
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve.set_defaults(func=_cmd_run, n=[63], one_shift=True, usage_error=solve.error)
     bench.set_defaults(func=_cmd_run, n=[15, 31, 63], one_shift=False, usage_error=bench.error)
-    verify.set_defaults(func=_cmd_verify, n=[3, 7, 15])
+    verify.set_defaults(func=_cmd_verify, n=[3, 7, 15], usage_error=verify.error)
     return parser
 
 

@@ -31,9 +31,8 @@ from .saddle import SaddleOperator, Shift
 class SpectralPreconditioner:
     """Block-diagonal operator W diag(weights) W per half, W the 2D DST."""
 
-    def __init__(self, grid: GridSpec, shift: Shift, weights: np.ndarray, gamma: float):
+    def __init__(self, grid: GridSpec, weights: np.ndarray, gamma: float):
         self.grid = grid
-        self.shift = shift
         self.weights = weights
         self.gamma = gamma
         self.transform = SineTransform(grid.n)
@@ -96,7 +95,7 @@ def _build(grid: GridSpec, shift: Shift, gamma: float) -> SpectralPreconditioner
             "singular preconditioner: beta = 0 and alpha cancels the Laplacian "
             f"eigenvalue {-shift.alpha:g} (mode index {idx})"
         )
-    return SpectralPreconditioner(grid, shift, weights, gamma)
+    return SpectralPreconditioner(grid, weights, gamma)
 
 
 def sine_basis(operator: SaddleOperator, precond: SpectralPreconditioner) -> Basis:

@@ -13,8 +13,9 @@ Three pieces of machinery live here:
   are all checked before the branch is declared valid.
 
 * verify_spectrum / verify_sandwich: dense desk-scale verification that
-  computed spectra actually fall inside the certified intervals, and a
-  randomized check of the norm-equivalence sandwich
+  the preconditioned block spectrum, +- the singular values of one complex
+  m-by-m matrix, falls inside the certified intervals, and a randomized
+  check of the norm-equivalence sandwich
   sqrt(2)/2 <= z*sqrt(H1^2+H2^2)z / z*(H1+H2)z <= 1 for commuting PSD pairs.
 """
 
@@ -25,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dst import sine_matrix
 from .grid import (CoefficientField, GridSpec, assemble_laplacian_2d_constant,
                    assemble_laplacian_2d_variable, smallest_laplacian_eigenvalue)
 from .precond import build_averaged
-from .saddle import SaddleOperator, Shift
+from .saddle import Shift
 
 BRANCH_ALPHA_NONNEG = "alpha_nonneg"
 BRANCH_ALPHA_NEG_VALID = "alpha_neg_valid"
@@ -174,18 +176,20 @@ def compute_bounds(coefficient: CoefficientField, c0: float, shift: Shift) -> Bo
 def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift) -> SpectrumCertificate:
     """Dense check that the preconditioned spectrum sits in the certified intervals.
 
-    Computes the eigenvalues of the symmetric P^(-1/2) A P^(-1/2) and
-    measures the distance of each to the interval union.  Capped at n <= 31;
-    the similarity keeps the computation symmetric throughout.
+    The spectrum of T = P^(-1/2) A P^(-1/2) is +-sigma, sigma the singular
+    values of the complex m-by-m M_hat = D^(-1/2) (W K W + lambda I) D^(-1/2),
+    lambda = alpha + beta i, W = kron(S, S) the dense sine matrix and D the
+    preconditioner's weights.  P = blockdiag(Q, Q) with Q = W D W, so
+    T = [[beta Q^-1, G], [G, -beta Q^-1]], G = Q^(-1/2) (K + alpha I) Q^(-1/2).
+    J T J^T = -T for J = [[0, I], [-I, 0]]: the spectrum is +- symmetric.
+    T^2 is the real form of M*M, M = Q^(-1/2) (K + lambda I) Q^(-1/2), so it
+    has each sigma^2 twice; M_hat = W M W (W^2 = I) has M's singular values.
+    No transform or stencil apply of the fast path enters.  Capped at n <= 31.
 
-    For a coefficient with a_min == a_max the averaged operator reproduces
-    the diffusion operator exactly, the preconditioner is the exact block
-    absolute value, and the spectrum is +-1 for every nonsingular shift; the
-    always-valid sqrt(2 a_max / a_min) interval is then used regardless of
-    the sign of the real part, and the certificate stays certified.  For a
-    genuinely variable coefficient whose negative-shift sign conditions fail
-    the interval carries no proof: containment is still measured but the
-    certificate is marked uncertified.
+    With a_min == a_max P is the exact block absolute value (spectrum +-1),
+    so the sqrt(2 a_max / a_min) interval certifies every shift.  A variable
+    coefficient failing the negative-shift sign conditions is still measured,
+    but its interval proves nothing and the certificate is marked uncertified.
     """
     if grid.n > VERIFY_CAP_2D:
         raise ValueError(f"dense verification capped at n={VERIFY_CAP_2D}, got {grid.n}")
@@ -194,18 +198,14 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
         k_op = assemble_laplacian_2d_constant(grid)
     else:
         k_op = assemble_laplacian_2d_variable(grid, coefficient)
-    p = build_averaged(grid, coefficient, shift)
-    a_dense = SaddleOperator(k_op, shift).dense()
-    half_inv_sqrt = p.materialize_block(-0.5)
-    m = grid.m
-    sym = np.zeros_like(a_dense)
-    # blockwise similarity transform, reusing the two distinct blocks
-    for bi in range(2):
-        for bj in range(2):
-            block = a_dense[bi * m:(bi + 1) * m, bj * m:(bj + 1) * m]
-            sym[bi * m:(bi + 1) * m, bj * m:(bj + 1) * m] = \
-                half_inv_sqrt @ block @ half_inv_sqrt
-    eigenvalues = np.linalg.eigvalsh(sym)
+    scale = build_averaged(grid, coefficient, shift).weights ** -0.5
+    s = sine_matrix(grid.n)
+    w = np.kron(s, s)
+    m_hat = (w @ k_op.dense() @ w).astype(complex)
+    m_hat.flat[::grid.m + 1] += complex(shift.alpha, shift.beta)
+    m_hat *= np.outer(scale, scale)
+    sigma = np.linalg.svd(m_hat, compute_uv=False)  # descending
+    eigenvalues = np.concatenate([-sigma, sigma[::-1]])
 
     c0 = smallest_laplacian_eigenvalue(grid)
     bounds = compute_bounds(coefficient, c0, shift)

@@ -163,16 +163,28 @@ def test_rejects_grid_size_not_power_of_two_minus_one():
     assert err.value.code == 2
 
 
-def test_rejects_mismatched_shift_lists():
+def _usage_error_text(capsys, argv) -> str:
+    # a usage error exits 2 with nothing on stdout; exit 1 is reserved for failed rows
     with pytest.raises(SystemExit) as err:
-        main(["bench", "--n", "7", "--alpha", "1,2", "--beta", "3"])
-    assert "equal counts" in str(err.value.code)
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
+    return captured.err
 
 
-def test_solve_rejects_shift_sweeps():
-    with pytest.raises(SystemExit) as err:
-        main(["solve", "--n", "7", "--alpha", "1,2", "--beta", "3,4"])
-    assert "exactly one shift" in str(err.value.code)
+def test_rejects_mismatched_shift_lists(capsys):
+    assert "equal counts" in _usage_error_text(
+        capsys, ["bench", "--n", "7", "--alpha", "1,2", "--beta", "3"])
+
+
+def test_verify_rejects_alpha_without_beta(capsys):
+    assert "equal counts" in _usage_error_text(capsys, ["verify", "--alpha", "1"])
+
+
+def test_solve_rejects_shift_sweeps(capsys):
+    assert "exactly one shift" in _usage_error_text(
+        capsys, ["solve", "--n", "7", "--alpha", "1,2", "--beta", "3,4"])
 
 
 def test_requires_subcommand():

@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from abslap.bench import DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS
 from abslap.grid import (
     GridSpec,
+    assemble_laplacian_2d_constant,
+    assemble_laplacian_2d_variable,
     constant_coefficient,
     separable_quadratic_coefficient,
     smallest_laplacian_eigenvalue,
 )
 from abslap.minres import bound_iterations
+from abslap.oracle import averaged_preconditioner_dense, saddle_block_dense
 from abslap.saddle import Shift
 from abslap.spectral import (
     BRANCH_ALPHA_NEG_VALID,
@@ -155,6 +159,27 @@ def test_uncertified_variable_case_is_flagged():
                            Shift(-10000.0, 1.0))
     assert cert.branch == BRANCH_VIOLATED
     assert not cert.certified
+
+
+@pytest.mark.parametrize("n", (3, 7))
+@pytest.mark.parametrize("coefficient", (constant_coefficient(1.0), separable_quadratic_coefficient()),
+                         ids=("const", "example2"))
+def test_certificate_matches_dense_generalized_eigenvalues(n, coefficient):
+    """The certificate's eigenvalues are those of P^-1 A with P and A built by
+    the dense oracles, on both default sweeps and one uncertified shift."""
+    grid = GridSpec(n, 2)
+    if coefficient.is_constant_one:
+        k_dense = assemble_laplacian_2d_constant(grid).dense()
+    else:
+        k_dense = assemble_laplacian_2d_variable(grid, coefficient).dense()
+    l_dense = assemble_laplacian_2d_constant(grid).dense()
+    for alpha, beta in DEFAULT_CONSTANT_SHIFTS + DEFAULT_VARIABLE_SHIFTS + ((-10000.0, 1.0),):
+        shift = Shift(alpha, beta)
+        p = averaged_preconditioner_dense(l_dense, coefficient.gamma, shift)
+        expected = np.sort(np.linalg.eigvals(np.linalg.solve(p, saddle_block_dense(k_dense, shift))).real)
+        got = np.sort(verify_spectrum(grid, coefficient, shift).eigenvalues)
+        assert got.shape == (2 * grid.m,)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max(), (alpha, beta)
 
 
 def test_verify_spectrum_caps():
