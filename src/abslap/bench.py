@@ -146,10 +146,16 @@ def generate_rhs(grid: GridSpec, k_op, shift: Shift, seed: int):
     The block operator maps the stacked exact solution (Re z; Im z) to
     (Im f; Re f), so one apply gives f = (K + (alpha + beta i) I) z.
     """
+    m = grid.m
     stream = RandomStream(seed)
-    exact = stream.normals(grid.m) + 1j * stream.normals(grid.m)
+    exact = np.empty(m, complex)
+    exact.real = stream.normals(m)
+    exact.imag = stream.normals(m)
     b = SaddleOperator(k_op, shift).apply(np.concatenate([exact.real, exact.imag]))
-    return exact, b[grid.m:] + 1j * b[:grid.m]
+    f = np.empty(m, complex)
+    f.real = b[m:]
+    f.imag = b[:m]
+    return exact, f
 
 
 def solve_shifted(k_op, shift: Shift, precond, f, config: SolverConfig):

@@ -15,6 +15,14 @@ takes rhs and returns x in the original basis, one transform each way.  The
 true residual at the end is always computed with the caller's apply_a, so
 it does not trust the rotated operator.
 
+The vector updates of a step walk the vectors in chunks sized by
+grid.BLOCK_BYTES: one loop builds the next Lanczos vector, and one updates
+w and x and rescales the new pair, so each chunk is read from memory once
+per loop.  The zero vectors the recurrence starts from, v_prev, w_prev and
+w_curr, are never made, and their terms, exactly zero, are skipped.  Each element goes through the
+same operations, in the same order, as in whole-vector updates, so the
+iterates do not depend on the chunk size.
+
 Inner products and norms go through np.einsum, never np.dot or
 np.linalg.norm.  On long vectors those call the threaded BLAS dot, whose
 worker then busy-waits on another core for a tenth of a second or more;
@@ -31,6 +39,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .grid import BLOCK_BYTES
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,9 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
 
     true_rel = 0.0
     if history[0] > 0.0:
-        residual = rhs - apply_a(x)
+        ax = apply_a(x)
+        # in apply_a's output, unless it handed back x itself
+        residual = np.subtract(rhs, ax, out=None if ax is x else ax)
         true_rel = math.sqrt(_dot(residual, residual)) / math.sqrt(_dot(rhs, rhs))
     report = SolveReport(len(history) - 1, converged, np.asarray(history), true_rel,
                          time.perf_counter() - start)
@@ -122,10 +134,10 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
         return x, history, True
 
     _scale_pair(v, z, gamma0)
-    v_prev = np.zeros_like(rhs)
-    w_prev = np.zeros_like(rhs)
-    w_curr = np.zeros_like(rhs)
-    scratch = np.empty_like(rhs)
+    chunks = _chunks(rhs.size)
+    # v_prev, w_prev and w_curr start as zero vectors; None stands for them,
+    # and their terms, exactly zero, are skipped.
+    v_prev = w_prev = w_curr = None
     # Rotation state: (c_prev, s_prev) is the rotation two steps back.
     c_prev, c_curr = 1.0, 1.0
     s_prev, s_curr = 0.0, 0.0
@@ -140,8 +152,11 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
             q = q.copy()  # q becomes v_next below, and z is still needed
         delta = _dot(q, z)
         # v_next = q - delta v - beta v_prev, built in q
-        q -= np.multiply(v, delta, out=scratch)
-        q -= np.multiply(v_prev, beta, out=scratch)
+        for c in chunks:
+            part = q[c]
+            part -= v[c] * delta
+            if v_prev is not None:
+                part -= v_prev[c] * beta
         v_next = q
         z_next = apply_pinv(v_next)
         gamma_sq = _dot(z_next, v_next)
@@ -156,25 +171,35 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
             raise ValueError("singular reduced system: operator is singular on the Krylov space")
         c_next = alpha0 / alpha1
         s_next = beta_next / alpha1
-
-        # w_next = (z - alpha3 w_prev - alpha2 w_curr) / alpha1, built in the
-        # buffer of w_prev, which is dead after this step
-        w_next = np.subtract(z, np.multiply(w_prev, alpha3, out=scratch), out=w_prev)
-        w_next -= np.multiply(w_curr, alpha2, out=scratch)
-        w_next /= alpha1
-        x += np.multiply(w_next, c_next * eta, out=scratch)
+        step = c_next * eta
         eta = -s_next * eta
         history.append(abs(eta))
+        converged = abs(eta) <= target
+        # Krylov space exhausted at beta_next = 0: the iterate is exact up to
+        # roundoff, and the loop ends either way
+        last = converged or beta_next == 0.0
 
-        if abs(eta) <= target:
-            converged = True
-            break
-        if beta_next == 0.0:
-            # Krylov space exhausted: the iterate is exact up to roundoff.
-            converged = abs(eta) <= target
+        # w_next = (z - alpha3 w_prev - alpha2 w_curr) / alpha1, built in the
+        # buffer of w_prev, which is dead after this step; x += step w_next;
+        # and unless this step is the last, v_next and z_next scaled by
+        # 1/beta_next
+        w_next = np.empty_like(rhs) if w_prev is None else w_prev
+        for c in chunks:
+            w = w_next[c]
+            if w_prev is None:
+                w[...] = z[c]
+            else:
+                np.subtract(z[c], w_prev[c] * alpha3, out=w)
+            if w_curr is not None:
+                w -= w_curr[c] * alpha2
+            w /= alpha1
+            part = x[c]
+            part += w * step
+            if not last:
+                _scale_pair(v_next[c], z_next[c], beta_next)
+        if last:
             break
 
-        _scale_pair(v_next, z_next, beta_next)
         v_prev, v, z = v, v_next, z_next
         w_prev, w_curr = w_curr, w_next
         c_prev, c_curr = c_curr, c_next
@@ -182,6 +207,14 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
         beta = beta_next
 
     return x, history, converged
+
+
+def _chunks(size: int) -> list[slice]:
+    """Slices of a vector of this size, each as long as fits BLOCK_BYTES over
+    the seven vectors the update of w and x and the rescale touch; one slice
+    when the whole vector fits."""
+    step = max(1, BLOCK_BYTES // (8 * 7))
+    return [slice(lo, min(lo + step, size)) for lo in range(0, max(size, 1), step)]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -13,6 +13,13 @@ real_to_complex unstacks the solution (z1; z2) into z1 + z2 i.
 For the constant-coefficient stencil K = L the 2D sine transform W
 diagonalizes K, so W A W (W on each half) has four diagonal blocks;
 SaddleOperator.apply_in_sine_basis applies it elementwise.
+
+Both applies walk the (2, n, n) stack of halves in row blocks sized by
+grid.BLOCK_BYTES, so their temporaries are block-sized.  apply adds the
+alpha and beta terms to each block of the stencil's output while it is
+still in cache, so each input row is read from memory once per block.  Every
+element goes through the same operations, in the same order, as in a
+whole-array evaluation, so the results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dst import axis_eigenvalues
-from .grid import KIND_CONSTANT, StencilOperator
+from .grid import KIND_CONSTANT, StencilOperator, row_blocks
 
 
 @dataclass(frozen=True)
@@ -52,16 +59,17 @@ class SaddleOperator:
         return v
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """A v, the alpha and beta terms added to each row block of the
+        stencil's output while it is in cache."""
         v = self._check(v)
-        alpha, beta = self.shift.alpha, self.shift.beta
-        swapped = v.reshape(2, self.m)[::-1]  # (v2; v1)
-        out = self.k_op.apply(swapped)  # (K v2; K v1)
-        scratch = alpha * swapped
-        out += scratch
-        np.multiply(swapped[1], beta, out=scratch[0])
-        out[0] += scratch[0]
-        np.multiply(swapped[0], beta, out=scratch[1])
-        out[1] -= scratch[1]
+        n = self.k_op.grid.n
+        swapped = v.reshape(2, n, n)[::-1]  # (v2; v1)
+        out = np.empty(swapped.shape)
+        # (K v2 + alpha v2 + beta v1; K v1 + alpha v1 - beta v2)
+        for rows in self.k_op.apply_in_blocks(swapped, out, extra=2):
+            o = out[:, rows]
+            o += swapped[:, rows] * self.shift.alpha
+            self._add_beta_terms(swapped, rows, o)
         return out.ravel()
 
     def apply_in_sine_basis(self, v: np.ndarray) -> np.ndarray:
@@ -69,9 +77,9 @@ class SaddleOperator:
 
         The transform diagonalizes K = L with the Laplacian eigenvalues
         Lambda, so in that basis the operator is [[beta I, Lambda + alpha I],
-        [Lambda + alpha I, -beta I]] and applies elementwise.  Lambda + alpha
-        is formed from the one-axis eigenvalues in one grid-sized scratch per
-        call, which the beta terms then reuse; no m-length array is kept.
+        [Lambda + alpha I, -beta I]] and applies elementwise, one row block
+        at a time.  Each block forms its rows of Lambda + alpha from the
+        one-axis eigenvalues, so no m-length array but the output is made.
         Raises ValueError for a variable-coefficient stencil, which the
         transform does not diagonalize.
         """
@@ -79,18 +87,22 @@ class SaddleOperator:
             raise ValueError("the sine transform diagonalizes only the "
                              f"constant-coefficient stencil, not {self.k_op.kind!r}")
         v = self._check(v)
-        alpha, beta = self.shift.alpha, self.shift.beta
         n = self.k_op.grid.n
         swapped = v.reshape(2, n, n)[::-1]  # (v2; v1)
         lam1 = axis_eigenvalues(self.k_op.grid)
-        scratch = lam1[:, None] + lam1[None, :]
-        scratch += alpha  # Lambda + alpha, rounded as the preconditioner's weights
-        out = swapped * scratch
-        np.multiply(swapped[1], beta, out=scratch)
-        out[0] += scratch
-        np.multiply(swapped[0], beta, out=scratch)
-        out[1] -= scratch
+        out = np.empty(swapped.shape)
+        for rows in row_blocks(2, n, 3):
+            o = out[:, rows]
+            lam = lam1[rows, None] + lam1[None, :]
+            lam += self.shift.alpha  # Lambda + alpha, rounded as the preconditioner's weights
+            np.multiply(swapped[:, rows], lam, out=o)
+            self._add_beta_terms(swapped, rows, o)
         return out.ravel()
+
+    def _add_beta_terms(self, swapped, rows, o) -> None:
+        """o += (beta v1; -beta v2) on one row block of both halves."""
+        o[0] += swapped[1, rows] * self.shift.beta
+        o[1] -= swapped[0, rows] * self.shift.beta
 
     def dense(self) -> np.ndarray:
         k = self.k_op.dense()
@@ -116,5 +128,8 @@ def saddle_rhs(f: np.ndarray) -> np.ndarray:
     solution (Re z; Im z), recoverable with real_to_complex.
     """
     f = np.asarray(f)
-    return np.concatenate([np.imag(f).astype(float), np.real(f).astype(float)])
+    out = np.empty(2 * f.size)
+    out[:f.size] = np.imag(f)
+    out[f.size:] = np.real(f)
+    return out
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from abslap import grid as grid_module
 from abslap.dst import SineTransform, laplacian_eigenvalues
 from abslap.grid import (
     KIND_CONSTANT,
@@ -168,7 +169,7 @@ def test_matrix_free_matches_dense():
 
 def test_stacked_apply_matches_per_half_applies():
     rng = np.random.default_rng(5)
-    for n in (1, 2, 15):
+    for n in (1, 2, 15, 200, 255):
         grid = GridSpec(n, 2)
         for op in (assemble_laplacian_2d_constant(grid),
                    assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())):
@@ -211,3 +212,77 @@ def test_coefficient_sample_validation():
     with pytest.raises(ValueError):
         assemble_laplacian_2d_variable(grid, liar)
 
+
+def _reference_apply(op, u):
+    """K u by the whole-array formulas, one numpy call per stencil term."""
+    n = op.grid.n
+    v = np.asarray(u, dtype=float).reshape(-1, n, n)
+    if op.kind == KIND_CONSTANT:
+        out = 4.0 * v
+        out[:, :-1, :] -= v[:, 1:, :]
+        out[:, 1:, :] -= v[:, :-1, :]
+        out[:, :, :-1] -= v[:, :, 1:]
+        out[:, :, 1:] -= v[:, :, :-1]
+    else:
+        ax, ay = op._edges
+        out = op._diag * v
+        out[:, :-1, :] -= ax[1:-1, :] * v[:, 1:, :]
+        out[:, 1:, :] -= ax[1:-1, :] * v[:, :-1, :]
+        out[:, :, :-1] -= ay[:, 1:-1] * v[:, :, 1:]
+        out[:, :, 1:] -= ay[:, 1:-1] * v[:, :, :-1]
+    out *= op.scale
+    return out.reshape(np.shape(u))
+
+
+# Rows per block forced by fixed_row_blocks, and grid sizes on either side of
+# one and two blocks' worth of rows.
+BLOCK_ROWS = 5
+BOUNDARY_SIZES = (1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+
+
+def fixed_row_blocks(count, n, arrays):
+    return [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+
+
+def _operators(grid):
+    return (assemble_laplacian_2d_constant(grid),
+            assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient()))
+
+
+def _check_blocked_apply(op, rng):
+    for shape in ((op.grid.m,), (1, op.grid.m), (2, op.grid.m), (3, op.grid.m)):
+        u = rng.standard_normal(shape)
+        kept = u.copy()
+        out = op.apply(u)
+        assert out.shape == shape
+        np.testing.assert_array_equal(out, _reference_apply(op, u))
+        np.testing.assert_array_equal(u, kept)
+
+
+def test_row_blocks_cover_the_rows_within_the_budget():
+    for count, n, arrays in ((1, 1, 2), (2, 31, 8), (2, 255, 8), (1, 1023, 2), (3, 600, 6)):
+        blocks = grid_module.row_blocks(count, n, arrays)
+        rows = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(rows) == rows[0] and min(rows) >= 1
+        if len(blocks) > 1:
+            assert 8 * n * count * arrays * rows[0] <= grid_module.BLOCK_BYTES
+    # a stack that fits is one block, whatever its size
+    assert grid_module.row_blocks(2, 31, 8) == [slice(0, 31)]
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_blocked_apply_matches_whole_array_formulas_at_block_boundaries(n, monkeypatch):
+    monkeypatch.setattr(grid_module, "row_blocks", fixed_row_blocks)
+    rng = np.random.default_rng(40 + n)
+    for op in _operators(GridSpec(n, 2)):
+        _check_blocked_apply(op, rng)
+
+
+def test_blocked_apply_matches_whole_array_formulas_over_many_blocks():
+    grid = GridSpec(255, 2)
+    rng = np.random.default_rng(41)
+    for op in _operators(grid):
+        assert len(grid_module.row_blocks(1, grid.n, 2)) > 1
+        _check_blocked_apply(op, rng)

@@ -1,5 +1,6 @@
 """Minimum-residual solver behavior, stopping logic, and iteration bounds."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -114,6 +115,76 @@ def test_sine_basis_true_residual_uses_the_original_operator():
     assert report.converged and report.iterations == 2
     assert report.final_true_residual > 10.0 * config.tol
     assert report.final_true_residual == pytest.approx(1e-6, rel=1e-3)
+
+
+def _shifted_problem(n, case):
+    """(k_op, shift, preconditioner, f) for a constant or example2 problem."""
+    grid = GridSpec(n, 2)
+    if case == "example2_averaged":
+        coefficient = separable_quadratic_coefficient()
+        k_op = assemble_laplacian_2d_variable(grid, coefficient)
+        shift = Shift(-600.0, 150.0)
+        precond = build_averaged(grid, coefficient, shift)
+    else:
+        k_op = assemble_laplacian_2d_constant(grid)
+        shift = Shift(-100.0, 100.0)
+        precond = build_ideal(grid, shift) if case == "const_ideal" else None
+    _, f = generate_rhs(grid, k_op, shift, seed=11)
+    return k_op, shift, precond, f
+
+
+@pytest.mark.parametrize("case", ["const_ideal", "example2_averaged", "const_none"])
+def test_chunked_vector_updates_do_not_depend_on_the_chunk_size(case, monkeypatch):
+    # n=7: 98 entries, one chunk by default, 20 of five entries (the last of
+    # three) under the patched budget; precond=None hands back its input
+    problem = _shifted_problem(7, case)
+    config = SolverConfig(tol=1e-8, max_iter=300)
+    x, report = solve_shifted(*problem, config)
+    assert len(minres._chunks(x.size)) == 1
+    monkeypatch.setattr(minres, "BLOCK_BYTES", 8 * 7 * 5)
+    assert len(minres._chunks(x.size)) == 20
+    y, chunked = solve_shifted(*problem, config)
+    assert report.converged and report.iterations > 1
+    np.testing.assert_array_equal(y, x)
+    np.testing.assert_array_equal(chunked.residual_history, report.residual_history)
+    assert chunked.final_true_residual == report.final_true_residual
+
+
+# sha256 of x.tobytes() and of the residual history's bytes, and the true
+# residual as float.hex, recorded with whole-array stencil, block-operator
+# and vector updates; at n=255 the 130050 entries span 14 chunks and the
+# applies several row blocks
+GOLDEN_SOLVES = [
+    (7, "const_ideal", 2, "0x1.60d2a5fe76cb0p-52",
+     "79d0a7d69417709ae3ae29fa8e5f4935b9738aab334cbc5bcffc019c939db558",
+     "96824913597bb53434476d52e95dd9e14cc3270678e951cb2af628660ebfd770"),
+    (7, "example2_averaged", 12, "0x1.5ab8843ad6177p-29",
+     "6bf28a6d678d102838c2fb24f135121ed939d2d36346db2b22c7a507be83c2f4",
+     "963f8d810d6e56c6f82b568d99367f8d6450c5713cbd082bd2864d51275d30c7"),
+    (7, "const_none", 45, "0x1.e164cb28a55d6p-28",
+     "08755d4b13b315e6640859d37e6b3845a032a6c1343b716d4d9e179d80c7f352",
+     "2cf0de5eb9eed82d6f6c0f6a57df29a0a660b53e691892ce01f20fd0ed8faba2"),
+    (255, "const_ideal", 2, "0x1.3a18ecc882947p-51",
+     "dda6339aa0f9d5e5b81f6ca839da7975f74f368dd5a149e74a6c7a9ec29cb1a1",
+     "065de653cde5dd41ab7982d90c562836a8a01564743883a0cdf90b7db1e2c3a2"),
+    (255, "example2_averaged", 14, "0x1.243ae46ae27d0p-31",
+     "11a09294a7510c6c9814d3bac7807963cb4422acd9ae19b3fc4891d149ff5ec6",
+     "b5cf535e6c140b93090845b94ddb411a3d76ad61a1aac3400a39d79919c01286"),
+    # stops at max_iter, unconverged
+    (255, "const_none", 100, "0x1.91307c0840febp-9",
+     "53a2379980bd39645b9f7289a11eabb89194995c5956382697dcd2f4a84663a9",
+     "a0018683cf4d79bbc3da138d14e093defb731cce596c30a86025e12ab8eae60e"),
+]
+
+
+@pytest.mark.parametrize("n, case, iterations, true_residual, x_sha, history_sha",
+                         GOLDEN_SOLVES)
+def test_solve_golden_bits(n, case, iterations, true_residual, x_sha, history_sha):
+    x, report = solve_shifted(*_shifted_problem(n, case), SolverConfig(tol=1e-8, max_iter=100))
+    assert report.iterations == iterations
+    assert report.final_true_residual.hex() == true_residual
+    assert hashlib.sha256(x.tobytes()).hexdigest() == x_sha
+    assert hashlib.sha256(report.residual_history.tobytes()).hexdigest() == history_sha
 
 
 def test_history_monotone_and_convergence_flag():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from abslap.dst import sine_matrix
+from abslap import grid as grid_module
+from abslap import saddle as saddle_module
+from abslap.dst import axis_eigenvalues, sine_matrix
 from abslap.grid import (
     GridSpec,
     assemble_laplacian_2d_constant,
@@ -11,6 +13,7 @@ from abslap.grid import (
     separable_quadratic_coefficient,
 )
 from abslap.saddle import SaddleOperator, Shift, real_to_complex, saddle_rhs
+from test_grid import BOUNDARY_SIZES, _reference_apply, fixed_row_blocks
 
 
 class _ZeroStencil:
@@ -19,8 +22,9 @@ class _ZeroStencil:
     def __init__(self, grid):
         self.grid = grid
 
-    def apply(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
+    def apply_in_blocks(self, v, out, extra=0):
+        out[...] = 0.0
+        yield slice(0, self.grid.n)
 
 
 def test_degenerate_blocks_with_zero_stencil():
@@ -172,3 +176,61 @@ def test_length_validation():
     op = SaddleOperator(_ZeroStencil(GridSpec(2, 2)), Shift(0.0, 1.0))
     with pytest.raises(ValueError):
         op.apply(np.zeros(4))
+
+
+def _reference_block_apply(op, v):
+    """A v by the whole-array formulas: the stencil on both halves, then the shift."""
+    alpha, beta = op.shift.alpha, op.shift.beta
+    swapped = v.reshape(2, op.m)[::-1]
+    out = _reference_apply(op.k_op, swapped)
+    scratch = alpha * swapped
+    out += scratch
+    np.multiply(swapped[1], beta, out=scratch[0])
+    out[0] += scratch[0]
+    np.multiply(swapped[0], beta, out=scratch[1])
+    out[1] -= scratch[1]
+    return out.ravel()
+
+
+def _reference_sine_basis_apply(op, v):
+    """W A W v by the whole-array formulas, Lambda + alpha formed for the whole grid."""
+    alpha, beta = op.shift.alpha, op.shift.beta
+    n = op.k_op.grid.n
+    swapped = v.reshape(2, n, n)[::-1]
+    lam1 = axis_eigenvalues(op.k_op.grid)
+    scratch = lam1[:, None] + lam1[None, :]
+    scratch += alpha
+    out = swapped * scratch
+    np.multiply(swapped[1], beta, out=scratch)
+    out[0] += scratch
+    np.multiply(swapped[0], beta, out=scratch)
+    out[1] -= scratch
+    return out.ravel()
+
+
+def _check_blocked_applies(grid, rng):
+    coefficient = separable_quadratic_coefficient()
+    for shift in (Shift(-600.0, 150.0), Shift(100.0, -100.0), Shift(0.0, 1.0)):
+        for k_op in (assemble_laplacian_2d_constant(grid),
+                     assemble_laplacian_2d_variable(grid, coefficient)):
+            op = SaddleOperator(k_op, shift)
+            v = rng.standard_normal(op.size)
+            kept = v.copy()
+            np.testing.assert_array_equal(op.apply(v), _reference_block_apply(op, v))
+            if k_op.kind == "constant_laplacian":
+                np.testing.assert_array_equal(op.apply_in_sine_basis(v),
+                                              _reference_sine_basis_apply(op, v))
+            np.testing.assert_array_equal(v, kept)
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_blocked_applies_match_whole_array_formulas_at_block_boundaries(n, monkeypatch):
+    monkeypatch.setattr(grid_module, "row_blocks", fixed_row_blocks)
+    monkeypatch.setattr(saddle_module, "row_blocks", fixed_row_blocks)
+    _check_blocked_applies(GridSpec(n, 2), np.random.default_rng(60 + n))
+
+
+def test_blocked_applies_match_whole_array_formulas_over_many_blocks():
+    grid = GridSpec(255, 2)
+    assert len(grid_module.row_blocks(2, grid.n, 3)) > 2
+    _check_blocked_applies(grid, np.random.default_rng(61))
