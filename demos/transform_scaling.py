@@ -8,10 +8,13 @@ at n = 1023 (about 2.1 million degrees of freedom) that still converges
 in two iterations.  That solve is `solve_shifted`, the one `abslap bench`
 makes: for the constant coefficient it runs in the sine basis, where
 operator and preconditioner are both diagonal, so it makes only two
-transforms in all.
+transforms in all.  Its memory is a small multiple of one vector: the
+script traces that solve's allocations and asserts that their peak above
+the inputs stays at 7.1 stacked vectors (of 2 m doubles) or less.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -46,14 +49,19 @@ def main():
     k_op = assemble_laplacian_2d_constant(grid)
     precond = build_ideal(grid, SHIFT)
     _, rhs = generate_rhs(grid, k_op, SHIFT, seed=7)
+    tracemalloc.start()
     tic = time.perf_counter()
-    _, report = solve_shifted(k_op, SHIFT, precond, rhs,
+    x, report = solve_shifted(k_op, SHIFT, precond, rhs,
                               SolverConfig(tol=1e-8, max_iter=50))
     elapsed = time.perf_counter() - tic
+    peak = tracemalloc.get_traced_memory()[1] / x.nbytes
+    tracemalloc.stop()
     print(f"\nfull solve at n={n} (dof={2 * grid.m}): "
           f"{report.iterations} iterations in {elapsed:.2f} s, "
           f"true residual {report.final_true_residual:.2e}")
+    print(f"peak memory above its inputs: {peak:.2f} stacked vectors")
     assert report.converged and report.iterations == 2
+    assert peak <= 7.1
 
 
 def _timed(fn, vec):

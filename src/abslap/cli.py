@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import (DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS,
@@ -165,6 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # refused before any solve, not after the sweep when the report is written
+    if args.out is not None:
+        directory = os.path.dirname(args.out) or "."
+        if not os.path.isdir(directory):
+            args.usage_error(f"--out: directory {directory!r} does not exist")
     return args.func(args)
 
 

@@ -17,7 +17,9 @@ sequence [0, col, 0, ..., 0] of length 2(n+1); the imaginary part of its FFT
 is minus the sine sums, which land in the matching rows of the output.  The
 buffer's zero columns are written once, when it is made.  The block is
 sized so that the buffer, its spectrum and the output rows stay in a core's
-L2 cache, so no full-size extension or transposed copy is ever made.
+L2 cache, so no full-size extension or transposed copy is ever made.  The
+one full-size intermediate is the first pass's output; the second pass
+writes into a new array or into the caller's `out`, which may be the input.
 
 A pass's (array, block) tasks are independent, so the caller and one thread
 per further core the process may run on, from an executor that lives for
@@ -96,17 +98,20 @@ def _pass_tasks(x: np.ndarray, out: np.ndarray, tasks, lock, rows: int) -> None:
         np.multiply(np.fft.rfft(e).imag[:, 1:n + 1], scale, out=out[b, i:i + rows])
 
 
-def _transpose_dst(x: np.ndarray, pool=None, workers: int = 1) -> np.ndarray:
+def _transpose_dst(x: np.ndarray, pool=None, workers: int = 1,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """out[b] = x[b].T @ S for a stack x of n-by-n arrays, one column block at a time.
 
     The caller and `workers - 1` calls on `pool` take the (array, block)
-    tasks from one shared queue.
+    tasks from one shared queue.  out, a new array if None, must not
+    overlap x: a block writes rows of out that later blocks read as columns.
     """
     n = x.shape[-1]
     rows = _block_rows(n)
     tasks = iter([(b, i) for b in range(len(x)) for i in range(0, n, rows)])
     lock = threading.Lock()
-    out = np.empty(x.shape)
+    if out is None:
+        out = np.empty(x.shape)
     futures = [pool.submit(_pass_tasks, x, out, tasks, lock, rows)
                for _ in range(workers - 1)]
     _pass_tasks(x, out, tasks, lock, rows)
@@ -115,9 +120,11 @@ def _transpose_dst(x: np.ndarray, pool=None, workers: int = 1) -> np.ndarray:
     return out
 
 
-def _dst2(x: np.ndarray) -> np.ndarray:
+def _dst2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """S x[b] S for each n-by-n array of a stack, as two passes X -> X^T S.
 
+    The second pass writes into out, a new array if None.  out may be x
+    itself: the first pass has read all of x before the second starts.
     A grid whose half spans fewer than _SPLIT_BLOCKS column blocks runs in
     the caller alone; a larger one splits each pass across every core.
     """
@@ -125,9 +132,9 @@ def _dst2(x: np.ndarray) -> np.ndarray:
     blocks = -(-n // _block_rows(n))
     workers = min(_cores(), len(x) * blocks) if blocks >= _SPLIT_BLOCKS else 1
     if workers < 2:  # also an empty stack
-        return _transpose_dst(_transpose_dst(x))
+        return _transpose_dst(_transpose_dst(x), out=out)
     with ThreadPoolExecutor(workers - 1) as pool:
-        return _transpose_dst(_transpose_dst(x, pool, workers), pool, workers)
+        return _transpose_dst(_transpose_dst(x, pool, workers), pool, workers, out)
 
 
 class SineTransform:
@@ -164,9 +171,22 @@ class SineTransform:
             )
         return v.reshape(-1, self.n, self.n)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """2D transform of a flat vector or of each row of a stack; same shape out."""
-        return _dst2(self._check(v)).reshape(np.shape(v))
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """2D transform of a flat vector or of each row of a stack; same shape out.
+
+        As in numpy, the result goes into out when it is given, and out is
+        returned; otherwise into a new array.  out must be a C-contiguous
+        float64 array of v's shape, and may be v itself.
+        """
+        x = self._check(v)
+        if out is None:
+            return _dst2(x).reshape(np.shape(v))
+        if (not isinstance(out, np.ndarray) or out.shape != np.shape(v)
+                or out.dtype != np.float64 or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                             f"{np.shape(v)}, got {getattr(out, 'shape', type(out))}")
+        _dst2(x, out.reshape(x.shape))
+        return out
 
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
         s = self.matrix()

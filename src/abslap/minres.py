@@ -23,6 +23,13 @@ w_curr, are never made, and their terms, exactly zero, are skipped.  Each elemen
 same operations, in the same order, as in whole-vector updates, so the
 iterates do not depend on the chunk size.
 
+The recurrence reads only a few vectors back (Paige and Saunders, 1975),
+so the memory of a solve is a small multiple of one vector.  Each work
+vector is dropped after its last read: v_prev once the next Lanczos vector
+is built, and on the final step v and the new pair before w is updated.  A
+longer solve holds at most 7 full-size work vectors per step besides rhs,
+and a two-step solve 6; minres_solve lists them.
+
 Inner products and norms go through np.einsum, never np.dot or
 np.linalg.norm.  On long vectors those call the threaded BLAS dot, whose
 worker then busy-waits on another core for a tenth of a second or more;
@@ -69,10 +76,11 @@ class Basis:
     """An orthogonal change of basis W = W^T = W^-1 and the solve's operators in it.
 
     transform(v) = W v, apply_a(v) = W A W v and apply_pinv(v) = W P^-1 W v,
-    each on a flat vector and returning a new array.
+    each on a flat vector and returning a new array.  transform also takes
+    out=, as in numpy: W v is written into out, which may be v itself.
     """
 
-    transform: Callable[[np.ndarray], np.ndarray]
+    transform: Callable[..., np.ndarray]
     apply_a: Callable[[np.ndarray], np.ndarray]
     apply_pinv: Callable[[np.ndarray], np.ndarray]
 
@@ -94,6 +102,15 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     returns x in the original basis.  The true residual is taken with
     apply_a in the original basis, never with basis.apply_a, so it checks
     the rotated operator against the one the caller gave.
+
+    Full-size work vectors live only while the recurrence still reads
+    them.  A step starts from x, v_prev, the Lanczos pair (v, z), w_prev
+    and w_curr, and apply_a's output becomes v_next.  v_prev dies as soon
+    as v_next is built, before apply_pinv makes z_next, and on the step
+    that ends the loop v, v_next and z_next die before w_next is made.
+    Besides rhs and the temporaries of apply_a and apply_pinv, a two-step
+    solve peaks at 6 full-size vectors and a longer one at 7 per step,
+    down from 8.  With a basis, the closing transform writes x in place.
     """
     start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
@@ -104,7 +121,7 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     else:
         x, history, converged = _lanczos(basis.apply_a, basis.apply_pinv, rhs,
                                          basis.transform, config)
-        x = basis.transform(x)
+        basis.transform(x, out=x)
 
     true_rel = 0.0
     if history[0] > 0.0:
@@ -158,6 +175,8 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
             if v_prev is not None:
                 part -= v_prev[c] * beta
         v_next = q
+        # v_prev is never read again: free it before apply_pinv makes z_next
+        v_prev = q = None
         z_next = apply_pinv(v_next)
         gamma_sq = _dot(z_next, v_next)
         _check_inner_product(gamma_sq, v_next, z_next)
@@ -178,6 +197,9 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
         # Krylov space exhausted at beta_next = 0: the iterate is exact up to
         # roundoff, and the loop ends either way
         last = converged or beta_next == 0.0
+        if last:
+            # no further step reads them: free them before w_next is made
+            v = v_next = z_next = None
 
         # w_next = (z - alpha3 w_prev - alpha2 w_curr) / alpha1, built in the
         # buffer of w_prev, which is dead after this step; x += step w_next;

@@ -5,7 +5,10 @@ preconditioner is the matrix absolute value of the block operator, which is
 block diagonal with two copies of sqrt((K + alpha I)^2 + beta^2 I).  For
 constant coefficients K is diagonalized by the DST, so applying any real
 power costs two transforms and one diagonal scaling per half: weights are
-sqrt((lam + alpha)^2 + beta^2) over the Laplacian eigenvalues lam.
+sqrt((lam + alpha)^2 + beta^2) over the Laplacian eigenvalues lam.  An
+apply makes one stacked vector, its result: the scaling and the second
+transform work in place in the first transform's output, so beside it at
+most one full-size intermediate, a transform's first pass, is alive.
 
 For variable coefficients bounded by 0 < a_min <= a <= a_max the averaged
 variant replaces K with gamma L, gamma = sqrt(a_min a_max), keeping the
@@ -48,11 +51,15 @@ class SpectralPreconditioner:
         return w.reshape(2, self.m)
 
     def apply_inverse(self, w: np.ndarray) -> np.ndarray:
-        """Apply P^-1 to a stacked vector: one transform pair over both block halves."""
+        """Apply P^-1 to a stacked vector: one transform pair over both block halves.
+
+        The divide and the second transform work in the first transform's
+        output, which is returned; w is not modified.
+        """
         t = self.transform
         x = t.apply(self._halves(w))
         x /= self.weights
-        return t.apply(x).ravel()
+        return t.apply(x, out=x).ravel()
 
     def apply_inverse_in_sine_basis(self, w: np.ndarray) -> np.ndarray:
         """W P^-1 W w, W the 2D sine transform on each half: a divide by the weights."""
@@ -107,8 +114,13 @@ def sine_basis(operator: SaddleOperator, precond: SpectralPreconditioner) -> Bas
     basis.
     """
     t = precond.transform
-    return Basis(lambda v: t.apply(v.reshape(2, -1)).ravel(),
-                 operator.apply_in_sine_basis, precond.apply_inverse_in_sine_basis)
+
+    def transform(v, out=None):
+        halves = None if out is None else out.reshape(2, -1)
+        return t.apply(v.reshape(2, -1), out=halves).ravel()
+
+    return Basis(transform, operator.apply_in_sine_basis,
+                 precond.apply_inverse_in_sine_basis)
 
 
 def build_ideal(grid: GridSpec, shift: Shift) -> SpectralPreconditioner:

@@ -409,9 +409,9 @@ def test_each_row_makes_one_solve_call_that_returns_the_solution(
         solves.append((x, report, transform_calls[0] - before))
         return x, report
 
-    def counting_apply(self, v):
+    def counting_apply(self, v, out=None):
         transform_calls[0] += 1
-        return original_apply(self, v)
+        return original_apply(self, v, out=out)
 
     monkeypatch.setattr(bench, "generate_rhs", recording_rhs)
     monkeypatch.setattr(bench, "minres_solve", recording_solve)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from abslap import cli
 from abslap.bench import CSV_HEADER, DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS
 from abslap.cli import main
 
@@ -190,3 +191,17 @@ def test_solve_rejects_shift_sweeps(capsys):
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "verify"])
+def test_out_in_a_missing_directory_is_a_usage_error(capsys, monkeypatch, tmp_path, command):
+    # refused before any row runs, not with a traceback once the sweep is done
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the --out check")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "verify_spectrum", no_run)
+    target = tmp_path / "missing" / "x.csv"
+    err = _usage_error_text(capsys, [command, "--n", "7", "--out", str(target)])
+    assert "does not exist" in err and str(tmp_path / "missing") in err
+    assert not target.parent.exists()

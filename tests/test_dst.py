@@ -154,6 +154,39 @@ def test_threaded_pass_is_bit_equal_to_serial(monkeypatch):
             assert np.abs(results[3][1] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_out_argument_is_bit_equal_to_a_new_result(monkeypatch):
+    # out= a separate array and out= the input itself, for a flat vector and
+    # a stack, serial and threaded; the gate is lowered so n=255 splits
+    monkeypatch.setattr(dst, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(dst, "_SPLIT_BLOCKS", 2)
+    rng = np.random.default_rng(23)
+    n = 255
+    t = SineTransform(n)
+    for workers in (1, 3):
+        monkeypatch.setattr(dst, "_cores", lambda workers=workers: workers)
+        for shape in ((n * n,), (2, n * n)):
+            v = rng.standard_normal(shape)
+            CountingExecutor.built = 0
+            expected = t.apply(v)
+            separate = np.empty(shape)
+            assert t.apply(v, out=separate) is separate
+            np.testing.assert_array_equal(separate, expected)
+            assert t.apply(v, out=v) is v
+            np.testing.assert_array_equal(v, expected)
+            assert CountingExecutor.built == (0 if workers == 1 else 3)
+
+
+def test_out_of_the_wrong_kind_rejected():
+    t = SineTransform(3)
+    v = np.ones(9)
+    for out in (np.empty(10), np.empty((1, 9)), np.empty(9, dtype=np.float32),
+                np.empty(18)[::2], [0.0] * 9):
+        with pytest.raises(ValueError):
+            t.apply(v, out=out)
+    with pytest.raises(ValueError):
+        t.apply(np.ones((2, 9)), out=np.empty(18))
+
+
 def test_worker_exception_reraises_in_caller(monkeypatch):
     caller = threading.current_thread()
     serial_tasks = dst._pass_tasks

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,32 @@ def test_solve_golden_bits(n, case, iterations, true_residual, x_sha, history_sh
     assert report.final_true_residual.hex() == true_residual
     assert hashlib.sha256(x.tobytes()).hexdigest() == x_sha
     assert hashlib.sha256(report.residual_history.tobytes()).hexdigest() == history_sha
+
+
+# tracemalloc peak of a solve above its inputs, in stacked vectors of 2m
+# doubles; it includes the block right-hand side the solve builds and the x
+# it returns.  const_none hands back its input as z, so z is v throughout.
+PEAK_LIMITS = [("const_ideal", 7.5), ("example2_averaged", 9.7), ("const_none", 7.3)]
+
+
+@pytest.mark.parametrize("case, limit", PEAK_LIMITS)
+def test_solve_peak_memory_in_stacked_vectors(case, limit):
+    problem = _shifted_problem(255, case)
+    config = SolverConfig(tol=1e-8, max_iter=20)
+    solve_shifted(*problem, config)  # first-call caches are not the solve's
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        x, report = solve_shifted(*problem, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert report.iterations == {"const_ideal": 2, "example2_averaged": 14,
+                                 "const_none": 20}[case]
+    assert (peak - base) / x.nbytes <= limit
 
 
 def test_history_monotone_and_convergence_flag():
