@@ -25,8 +25,16 @@ def _power_of_two_minus_one(value: str) -> int:
     return n
 
 
+def _parts(value: str) -> list[str]:
+    """The non-empty items of a comma separated list; a list of none is a usage error."""
+    parts = [part for part in value.split(",") if part != ""]
+    if not parts:
+        raise argparse.ArgumentTypeError(f"expected at least one value, got {value!r}")
+    return parts
+
+
 def _int_list(value: str) -> list[int]:
-    return [_power_of_two_minus_one(part) for part in value.split(",") if part != ""]
+    return [_power_of_two_minus_one(part) for part in _parts(value)]
 
 
 def _verify_int_list(value: str) -> list[int]:
@@ -40,7 +48,7 @@ def _verify_int_list(value: str) -> list[int]:
 
 
 def _float_list(value: str) -> list[float]:
-    return [float(part) for part in value.split(",") if part != ""]
+    return [float(part) for part in _parts(value)]
 
 
 def _add_common(parser: argparse.ArgumentParser, many_n: bool, n_type=_int_list) -> None:

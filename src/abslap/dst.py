@@ -15,11 +15,13 @@ O(n^2) matrix product.  The fast path is one pass, X -> X^T S, run twice:
 block is copied, transposed, into a small buffer as rows of the zero-padded
 sequence [0, col, 0, ..., 0] of length 2(n+1); the imaginary part of its FFT
 is minus the sine sums, which land in the matching rows of the output.  The
-buffer's zero columns are written once, when it is made.  The block is
-sized so that the buffer, its spectrum and the output rows stay in a core's
-L2 cache, so no full-size extension or transposed copy is ever made.  The
-one full-size intermediate is the first pass's output; the second pass
-writes into a new array or into the caller's `out`, which may be the input.
+buffer's zero columns are written once, when it is made.  Both passes
+walk the same column blocks, cut by grid.blocks so that a block's buffer,
+spectrum and output rows fit in grid.BLOCK_BYTES, the budget every blocked
+pass of the solve shares; so no full-size extension or transposed copy is
+ever made.  The one full-size intermediate is the first pass's output; the
+second pass writes into a new array or into the caller's `out`, which may
+be the input.
 
 A pass's (array, block) tasks are independent, so the caller and one thread
 per further core the process may run on, from an executor that lives for
@@ -36,6 +38,7 @@ core and the thread start-ups cost whole solves what the split saves.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -43,7 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, blocks
 
 
 def sine_matrix(n: int) -> np.ndarray:
@@ -54,20 +57,12 @@ def sine_matrix(n: int) -> np.ndarray:
     return math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * (math.pi / (n + 1)))
 
 
-# Bytes of extension buffer, spectrum and output rows one block touches.
-# Smaller blocks pay numpy's per-call FFT overhead more often.
-_BLOCK_BYTES = 512 * 1024
-# Threads start once a half spans this many blocks, n >= 623 at the block
-# size above.  A transform alone gains from n of about 200, but in whole
-# solves at n=511 (21 blocks, a stack the size of one core's L2 cache) the
-# layers after the transform lost what it saved, and times scattered more;
-# at n=1023 (86 blocks) solves were 23% faster.
+# Threads start once a half spans this many column blocks of the shared
+# budget grid.BLOCK_BYTES, n >= 623.  A transform alone gains from n of
+# about 200, but in whole solves at n=511 (21 blocks, a stack the size of
+# one core's L2 cache) the layers after the transform lost what it saved,
+# and times scattered more; at n=1023 (86 blocks) solves were 23% faster.
 _SPLIT_BLOCKS = 32
-
-
-def _block_rows(n: int) -> int:
-    """Columns of X per block: the most whose buffers fit in _BLOCK_BYTES."""
-    return max(1, min(n, _BLOCK_BYTES // (16 * (n + 1) + 16 * (n + 2) + 8 * n)))
 
 
 def _cores() -> int:
@@ -78,11 +73,11 @@ def _cores() -> int:
 
 
 def _pass_tasks(x: np.ndarray, out: np.ndarray, tasks, lock, rows: int) -> None:
-    """out[b, i:i+rows] = x[b][:, i:i+rows].T @ S for each (b, i) taken from
-    the shared iterator `tasks`, under `lock`, until it is exhausted.
+    """out[b, cols] = x[b][:, cols].T @ S for each (b, cols) taken from the
+    shared iterator `tasks`, under `lock`, until it is exhausted.
 
     Runs in the caller or in a pool worker; each call owns its extension
-    buffer, and the lock hands every block to exactly one call.
+    buffer of `rows` rows, and the lock hands every block to exactly one call.
     """
     n = x.shape[-1]
     scale = -math.sqrt(2.0 / (n + 1))
@@ -92,13 +87,13 @@ def _pass_tasks(x: np.ndarray, out: np.ndarray, tasks, lock, rows: int) -> None:
             task = next(tasks, None)
         if task is None:
             return
-        b, i = task
-        e = ext[:min(rows, n - i)]
-        e[:, 1:n + 1] = x[b, :, i:i + rows].T
-        np.multiply(np.fft.rfft(e).imag[:, 1:n + 1], scale, out=out[b, i:i + rows])
+        b, cols = task
+        e = ext[:cols.stop - cols.start]
+        e[:, 1:n + 1] = x[b, :, cols].T
+        np.multiply(np.fft.rfft(e).imag[:, 1:n + 1], scale, out=out[b, cols])
 
 
-def _transpose_dst(x: np.ndarray, pool=None, workers: int = 1,
+def _transpose_dst(x: np.ndarray, cols: list[slice], pool, workers: int,
                    out: np.ndarray | None = None) -> np.ndarray:
     """out[b] = x[b].T @ S for a stack x of n-by-n arrays, one column block at a time.
 
@@ -106,15 +101,13 @@ def _transpose_dst(x: np.ndarray, pool=None, workers: int = 1,
     tasks from one shared queue.  out, a new array if None, must not
     overlap x: a block writes rows of out that later blocks read as columns.
     """
-    n = x.shape[-1]
-    rows = _block_rows(n)
-    tasks = iter([(b, i) for b in range(len(x)) for i in range(0, n, rows)])
+    tasks = iter([(b, c) for b in range(len(x)) for c in cols])
     lock = threading.Lock()
     if out is None:
         out = np.empty(x.shape)
-    futures = [pool.submit(_pass_tasks, x, out, tasks, lock, rows)
-               for _ in range(workers - 1)]
-    _pass_tasks(x, out, tasks, lock, rows)
+    args = (x, out, tasks, lock, cols[0].stop)  # buffer rows: the first block's
+    futures = [pool.submit(_pass_tasks, *args) for _ in range(workers - 1)]
+    _pass_tasks(*args)
     for future in futures:
         future.result()
     return out
@@ -125,16 +118,15 @@ def _dst2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     The second pass writes into out, a new array if None.  out may be x
     itself: the first pass has read all of x before the second starts.
-    A grid whose half spans fewer than _SPLIT_BLOCKS column blocks runs in
-    the caller alone; a larger one splits each pass across every core.
+    Both passes walk the same column blocks.  A grid whose half spans
+    fewer than _SPLIT_BLOCKS of them runs in the caller alone; a larger one
+    splits each pass across every core.
     """
     n = x.shape[-1]
-    blocks = -(-n // _block_rows(n))
-    workers = min(_cores(), len(x) * blocks) if blocks >= _SPLIT_BLOCKS else 1
-    if workers < 2:  # also an empty stack
-        return _transpose_dst(_transpose_dst(x), out=out)
-    with ThreadPoolExecutor(workers - 1) as pool:
-        return _transpose_dst(_transpose_dst(x, pool, workers), pool, workers, out)
+    cols = blocks(n, 16 * (n + 1) + 16 * (n + 2) + 8 * n)
+    workers = min(_cores(), len(x) * len(cols)) if len(cols) >= _SPLIT_BLOCKS else 1
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
+        return _transpose_dst(_transpose_dst(x, cols, pool, workers), cols, pool, workers, out)
 
 
 class SineTransform:

@@ -98,22 +98,19 @@ def separable_quadratic_coefficient() -> CoefficientField:
                             400.0, 441.0)
 
 
-# Bytes of the arrays one block of an elementwise pass touches: about a
-# quarter of a core's 2 MB L2 cache, so a block's rows are read from memory
-# once and its temporaries stay in cache.  The stencil, the saddle operator
-# and MINRES's vector passes all size their blocks by it.
+# Bytes one block of a pass touches: about a quarter of a core's 2 MB L2
+# cache, so a block is read from memory once and its temporaries stay in
+# cache.  The stencil, the block operator, MINRES's vector updates and the
+# sine transform's column blocks all cut their ranges by it, through blocks().
 BLOCK_BYTES = 512 * 1024
 
 
-def row_blocks(count: int, n: int, arrays: int) -> list[slice]:
-    """Row slices covering a stack of `count` n-by-n arrays, a block being
-    those rows of every array in the stack.
-
-    A block holds as many whole rows as fit in BLOCK_BYTES when `arrays`
-    such stacks are touched per element; a stack that fits is one block.
-    """
-    rows = max(1, BLOCK_BYTES // (8 * n * count * arrays))
-    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+def blocks(length: int, unit_bytes: int) -> list[slice]:
+    """Slices covering range(length), each of as many units as fit in
+    BLOCK_BYTES when one unit touches unit_bytes bytes, and at least one;
+    a range that fits is one slice."""
+    step = max(1, BLOCK_BYTES // unit_bytes)
+    return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
 
 
 class StencilOperator:
@@ -167,7 +164,7 @@ class StencilOperator:
         variable = self.kind == KIND_VARIABLE
         if variable:
             (ax, ay), diag = self._edges, self._diag
-        for rows in row_blocks(len(v), n, (6 if variable else 2) + extra):
+        for rows in blocks(n, 8 * n * len(v) * ((6 if variable else 2) + extra)):
             lo, hi = rows.start, rows.stop
             top = min(hi, n - 1) - lo  # rows lo..lo+top-1 have a successor
             low = max(lo, 1)  # rows low..hi-1 have a predecessor

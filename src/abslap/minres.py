@@ -15,39 +15,33 @@ takes rhs and returns x in the original basis, one transform each way.  The
 true residual at the end is always computed with the caller's apply_a, so
 it does not trust the rotated operator.
 
-The vector updates of a step walk the vectors in chunks sized by
-grid.BLOCK_BYTES: one loop builds the next Lanczos vector, and one updates
-w and x and rescales the new pair, so each chunk is read from memory once
-per loop.  The zero vectors the recurrence starts from, v_prev, w_prev and
-w_curr, are never made, and their terms, exactly zero, are skipped.  Each element goes through the
-same operations, in the same order, as in whole-vector updates, so the
-iterates do not depend on the chunk size.
+The vector updates of a step run in chunks cut by grid.blocks, sized by
+grid.BLOCK_BYTES over the seven vectors they touch: one loop builds the
+next Lanczos vector, and one updates w and x and rescales the new pair.
+Each element goes through the same operations, in the same order, as in
+whole-vector updates, so the iterates do not depend on the chunk size.
+The zero vectors the recurrence starts from, v_prev, w_prev and w_curr,
+are never made, and their terms, exactly zero, are skipped.
 
 The recurrence reads only a few vectors back (Paige and Saunders, 1975),
-so the memory of a solve is a small multiple of one vector.  Each work
-vector is dropped after its last read: v_prev once the next Lanczos vector
-is built, and on the final step v and the new pair before w is updated.  A
-longer solve holds at most 7 full-size work vectors per step besides rhs,
-and a two-step solve 6; minres_solve lists them.
+and each work vector is dropped after its last read: v_prev once the next
+Lanczos vector is built, and on the final step v and the new pair before
+w is updated.  minres_solve lists the vectors a step holds.
 
 Inner products and norms go through np.einsum, never np.dot or
-np.linalg.norm.  On long vectors those call the threaded BLAS dot, whose
-worker then busy-waits on another core for a tenth of a second or more;
-the sine transform, which splits its passes across every core, would
-share that core with it.  The einsum reduction costs about twice a BLAS
-dot, well under a millisecond at half a million entries.
+np.linalg.norm: those call the threaded BLAS dot, whose worker then
+busy-waits on a core that the sine transform's threads need.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grid import BLOCK_BYTES
+from .grid import blocks
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,6 @@ class SolveReport:
     converged: bool
     residual_history: np.ndarray
     final_true_residual: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -109,10 +102,9 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     as v_next is built, before apply_pinv makes z_next, and on the step
     that ends the loop v, v_next and z_next die before w_next is made.
     Besides rhs and the temporaries of apply_a and apply_pinv, a two-step
-    solve peaks at 6 full-size vectors and a longer one at 7 per step,
-    down from 8.  With a basis, the closing transform writes x in place.
+    solve peaks at 6 full-size vectors and a longer one at 7 per step.
+    With a basis, the closing transform writes x in place.
     """
-    start = time.perf_counter()
     rhs = np.asarray(rhs, dtype=float)
     if apply_pinv is None:
         apply_pinv = lambda w: w
@@ -129,8 +121,7 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
         # in apply_a's output, unless it handed back x itself
         residual = np.subtract(rhs, ax, out=None if ax is x else ax)
         true_rel = math.sqrt(_dot(residual, residual)) / math.sqrt(_dot(rhs, rhs))
-    report = SolveReport(len(history) - 1, converged, np.asarray(history), true_rel,
-                         time.perf_counter() - start)
+    report = SolveReport(len(history) - 1, converged, np.asarray(history), true_rel)
     return x, report
 
 
@@ -151,7 +142,7 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
         return x, history, True
 
     _scale_pair(v, z, gamma0)
-    chunks = _chunks(rhs.size)
+    chunks = blocks(rhs.size, 8 * 7)  # seven vectors per entry
     # v_prev, w_prev and w_curr start as zero vectors; None stands for them,
     # and their terms, exactly zero, are skipped.
     v_prev = w_prev = w_curr = None
@@ -229,14 +220,6 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
         beta = beta_next
 
     return x, history, converged
-
-
-def _chunks(size: int) -> list[slice]:
-    """Slices of a vector of this size, each as long as fits BLOCK_BYTES over
-    the seven vectors the update of w and x and the rescale touch; one slice
-    when the whole vector fits."""
-    step = max(1, BLOCK_BYTES // (8 * 7))
-    return [slice(lo, min(lo + step, size)) for lo in range(0, max(size, 1), step)]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

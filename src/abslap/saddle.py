@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dst import axis_eigenvalues
-from .grid import KIND_CONSTANT, StencilOperator, row_blocks
+from .grid import KIND_CONSTANT, StencilOperator, blocks
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class SaddleOperator:
         swapped = v.reshape(2, n, n)[::-1]  # (v2; v1)
         lam1 = axis_eigenvalues(self.k_op.grid)
         out = np.empty(swapped.shape)
-        for rows in row_blocks(2, n, 3):
+        for rows in blocks(n, 8 * n * 2 * 3):  # rows of three (2, n, n) stacks
             o = out[:, rows]
             lam = lam1[rows, None] + lam1[None, :]
             lam += self.shift.alpha  # Lambda + alpha, rounded as the preconditioner's weights

@@ -188,6 +188,20 @@ def test_solve_rejects_shift_sweeps(capsys):
         capsys, ["solve", "--n", "7", "--alpha", "1,2", "--beta", "3,4"])
 
 
+@pytest.mark.parametrize("argv", [["bench", "--n", ","],
+                                  ["bench", "--n", "7", "--alpha", ",", "--beta", ","],
+                                  ["verify", "--n", ","]],
+                         ids=["bench-n", "bench-shifts", "verify-n"])
+def test_empty_list_is_a_usage_error(capsys, monkeypatch, argv):
+    # a sweep of no rows is refused, not reported as a success
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran with an empty list")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "verify_spectrum", no_run)
+    assert "expected at least one value, got ','" in _usage_error_text(capsys, argv)
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

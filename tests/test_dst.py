@@ -2,12 +2,13 @@
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from abslap import dst
+from abslap import grid as grid_module
 from abslap.dst import SineTransform, laplacian_eigenvalues, sine_matrix
 from abslap.grid import GridSpec, assemble_laplacian_2d_constant, smallest_laplacian_eigenvalue
 
@@ -219,6 +220,46 @@ def test_grids_of_few_blocks_start_no_thread(monkeypatch):
         stack = rng.standard_normal((2, n * n))
         ref = t.apply_reference(stack)
         assert np.abs(t.apply(stack) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert threading.active_count() == threads
+
+
+class InlineExecutor:
+    """Executor stand-in that records its size and runs nothing: its
+    futures are done at once, so the caller takes every block from the
+    shared queue and no thread starts."""
+    sizes = []
+
+    def __init__(self, workers):
+        InlineExecutor.sizes.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(None)
+        return future
+
+
+def test_thread_gate_switches_between_n_622_and_623(monkeypatch):
+    # n=622 spans 30 column blocks of the shared budget and is the largest
+    # grid transformed serially; n=623 spans 32 and splits across the cores
+    monkeypatch.setattr(dst, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(dst, "_cores", lambda: 3)
+    rng = np.random.default_rng(29)
+    threads = threading.active_count()
+    for n, blocks, sizes in ((622, 30, []), (623, 32, [2])):
+        assert len(grid_module.blocks(n, 16 * (n + 1) + 16 * (n + 2) + 8 * n)) == blocks
+        v = rng.standard_normal(n * n)
+        InlineExecutor.sizes = []
+        split = SineTransform(n).apply(v)
+        assert InlineExecutor.sizes == sizes
+        monkeypatch.setattr(dst, "_cores", lambda: 1)
+        np.testing.assert_array_equal(split, SineTransform(n).apply(v))
+        monkeypatch.setattr(dst, "_cores", lambda: 3)
     assert threading.active_count() == threads
 
 

@@ -234,14 +234,14 @@ def _reference_apply(op, u):
     return out.reshape(np.shape(u))
 
 
-# Rows per block forced by fixed_row_blocks, and grid sizes on either side of
+# Units per block forced by fixed_blocks, and grid sizes on either side of
 # one and two blocks' worth of rows.
 BLOCK_ROWS = 5
 BOUNDARY_SIZES = (1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
 
 
-def fixed_row_blocks(count, n, arrays):
-    return [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+def fixed_blocks(length, unit_bytes):
+    return [slice(lo, min(lo + BLOCK_ROWS, length)) for lo in range(0, length, BLOCK_ROWS)]
 
 
 def _operators(grid):
@@ -259,22 +259,29 @@ def _check_blocked_apply(op, rng):
         np.testing.assert_array_equal(u, kept)
 
 
-def test_row_blocks_cover_the_rows_within_the_budget():
-    for count, n, arrays in ((1, 1, 2), (2, 31, 8), (2, 255, 8), (1, 1023, 2), (3, 600, 6)):
-        blocks = grid_module.row_blocks(count, n, arrays)
-        rows = [b.stop - b.start for b in blocks]
-        assert blocks[0].start == 0 and blocks[-1].stop == n
+def test_blocks_cover_the_range_within_the_budget():
+    # the stencil's rows, the transform's columns and MINRES's vector entries
+    for length, unit_bytes in ((1, 8 * 1 * 1 * 2), (31, 8 * 31 * 2 * 8), (255, 8 * 255 * 2 * 8),
+                               (1023, 8 * 1023 * 1 * 2), (600, 8 * 600 * 3 * 6),
+                               (1023, 16 * 1024 + 16 * 1025 + 8 * 1023),
+                               (130050, 8 * 7)):
+        blocks = grid_module.blocks(length, unit_bytes)
+        units = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == length
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-        assert max(rows) == rows[0] and min(rows) >= 1
+        assert max(units) == units[0] and min(units) >= 1
         if len(blocks) > 1:
-            assert 8 * n * count * arrays * rows[0] <= grid_module.BLOCK_BYTES
-    # a stack that fits is one block, whatever its size
-    assert grid_module.row_blocks(2, 31, 8) == [slice(0, 31)]
+            assert unit_bytes * units[0] <= grid_module.BLOCK_BYTES
+    # a range that fits is one block, whatever its size
+    assert grid_module.blocks(31, 8 * 31 * 2 * 8) == [slice(0, 31)]
+    # a unit larger than the budget is a block of its own
+    assert grid_module.blocks(3, 2 * grid_module.BLOCK_BYTES) == [slice(0, 1), slice(1, 2),
+                                                                  slice(2, 3)]
 
 
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
 def test_blocked_apply_matches_whole_array_formulas_at_block_boundaries(n, monkeypatch):
-    monkeypatch.setattr(grid_module, "row_blocks", fixed_row_blocks)
+    monkeypatch.setattr(grid_module, "blocks", fixed_blocks)
     rng = np.random.default_rng(40 + n)
     for op in _operators(GridSpec(n, 2)):
         _check_blocked_apply(op, rng)
@@ -284,5 +291,5 @@ def test_blocked_apply_matches_whole_array_formulas_over_many_blocks():
     grid = GridSpec(255, 2)
     rng = np.random.default_rng(41)
     for op in _operators(grid):
-        assert len(grid_module.row_blocks(1, grid.n, 2)) > 1
+        assert len(grid_module.blocks(grid.n, 8 * grid.n * 1 * 2)) > 1
         _check_blocked_apply(op, rng)

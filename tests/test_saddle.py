@@ -13,7 +13,7 @@ from abslap.grid import (
     separable_quadratic_coefficient,
 )
 from abslap.saddle import SaddleOperator, Shift, real_to_complex, saddle_rhs
-from test_grid import BOUNDARY_SIZES, _reference_apply, fixed_row_blocks
+from test_grid import BOUNDARY_SIZES, _reference_apply, fixed_blocks
 
 
 class _ZeroStencil:
@@ -225,12 +225,12 @@ def _check_blocked_applies(grid, rng):
 
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
 def test_blocked_applies_match_whole_array_formulas_at_block_boundaries(n, monkeypatch):
-    monkeypatch.setattr(grid_module, "row_blocks", fixed_row_blocks)
-    monkeypatch.setattr(saddle_module, "row_blocks", fixed_row_blocks)
+    monkeypatch.setattr(grid_module, "blocks", fixed_blocks)
+    monkeypatch.setattr(saddle_module, "blocks", fixed_blocks)
     _check_blocked_applies(GridSpec(n, 2), np.random.default_rng(60 + n))
 
 
 def test_blocked_applies_match_whole_array_formulas_over_many_blocks():
     grid = GridSpec(255, 2)
-    assert len(grid_module.row_blocks(2, grid.n, 3)) > 2
+    assert len(grid_module.blocks(grid.n, 8 * grid.n * 2 * 3)) > 2
     _check_blocked_applies(grid, np.random.default_rng(61))
