@@ -104,6 +104,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         SolverConfig(self.tol, self.max_iter)  # raises on a bad tol or max_iter
+        if self.coefficient not in COEFFICIENT_NAMES:
+            raise ValueError(f"unknown coefficient {self.coefficient!r}; "
+                             f"expected one of {COEFFICIENT_NAMES}")
         if self.preconditioner not in ("ideal", "averaged", "none"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.preconditioner == "ideal" and self.coefficient != "constant_one":
@@ -178,7 +181,7 @@ def solve_shifted(k_op, shift: Shift, precond, f, config: SolverConfig):
 def _iteration_bound(spec: ExperimentSpec, coefficient, grid, shift):
     if spec.preconditioner == "none":
         return None
-    if spec.preconditioner == "ideal" or coefficient.a_min == coefficient.a_max:
+    if coefficient.a_min == coefficient.a_max:
         # exact absolute value: spectrum is {-1, +1}
         return bound_iterations(1.0, 1.0, 1.0, 1.0, spec.tol)
     c0 = smallest_laplacian_eigenvalue(grid)
@@ -198,7 +201,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     rows = []
     for n in spec.grid_sizes:
         grid = GridSpec(n, 2)
-        if spec.coefficient == "constant_one":
+        if coefficient.is_constant_one:
             k_op = assemble_laplacian_2d_constant(grid)
         else:
             k_op = assemble_laplacian_2d_variable(grid, coefficient)
@@ -235,10 +238,7 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
     row.bound_iterations = _iteration_bound(spec, coefficient, grid, shift)
     # rows above the dense cap cannot be verified and stay "skipped"
     if min(spec.verify_spectrum_up_to, VERIFY_CAP_2D) >= grid.n and precond is not None:
-        cert = verify_spectrum(grid, coefficient, shift)
-        if cert.certified:
-            row.spectrum_verdict = "pass" if cert.all_inside else "fail"
-        # an uncertified interval proves nothing either way: leave "skipped"
+        row.spectrum_verdict = verify_spectrum(grid, coefficient, shift).verdict
     row.wall_time = time.perf_counter() - start
     # Free the solution and the right-hand side before the preconditioner.
     # CPython clears a frame's locals in the order they first appear, which

@@ -108,8 +108,9 @@ BLOCK_BYTES = 512 * 1024
 def blocks(length: int, unit_bytes: int) -> list[slice]:
     """Slices covering range(length), each of as many units as fit in
     BLOCK_BYTES when one unit touches unit_bytes bytes, and at least one;
-    a range that fits is one slice."""
-    step = max(1, BLOCK_BYTES // unit_bytes)
+    a range that fits is one slice.  A unit of 0 bytes, as in an empty
+    stack, always fits."""
+    step = max(1, BLOCK_BYTES // max(unit_bytes, 1))
     return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
 
 

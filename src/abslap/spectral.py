@@ -77,6 +77,14 @@ class SpectrumCertificate:
     # a genuinely variable coefficient); containment is then informational.
     certified: bool
 
+    @property
+    def verdict(self) -> str:
+        """The certificate's verdict: "pass" or "fail" for a certified interval,
+        "skipped" for one that proves nothing."""
+        if not self.certified:
+            return "skipped"
+        return "pass" if self.all_inside else "fail"
+
 
 def block_matrix(theta: float, a_n: np.ndarray) -> np.ndarray:
     """Assemble [[theta I, A*], [A, -theta I]] for tests and demos."""

@@ -218,6 +218,8 @@ def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(preconditioner="cholesky")
     with pytest.raises(ValueError):
+        ExperimentSpec(coefficient="nope", preconditioner="averaged")
+    with pytest.raises(ValueError):
         ExperimentSpec(grid_sizes=(0,))
     with pytest.raises(ValueError):
         ExperimentSpec(shifts=((1.0, 2.0, 3.0),))

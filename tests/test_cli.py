@@ -114,8 +114,13 @@ def test_verify_uncertified_rows_do_not_fail_exit_code(capsys):
     assert payload[0]["all_inside"] is True
 
 
-def test_verify_above_cap_is_a_usage_error(capsys):
-    # dense verification stops at n=31; larger sizes are refused by argparse
+def test_verify_above_cap_is_a_usage_error(capsys, monkeypatch):
+    # dense verification stops at n=31; larger sizes are refused before any
+    # certificate runs, the n=7 one included
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a certificate")
+
+    monkeypatch.setattr(cli, "verify_spectrum", no_run)
     with pytest.raises(SystemExit) as err:
         main(["verify", "--n", "7,63"])
     assert err.value.code == 2
@@ -186,6 +191,14 @@ def test_verify_rejects_alpha_without_beta(capsys):
 def test_solve_rejects_shift_sweeps(capsys):
     assert "exactly one shift" in _usage_error_text(
         capsys, ["solve", "--n", "7", "--alpha", "1,2", "--beta", "3,4"])
+
+
+def test_solve_rejects_grid_size_sweeps(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a grid size sweep")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    assert "exactly one grid size" in _usage_error_text(capsys, ["solve", "--n", "7,15"])
 
 
 @pytest.mark.parametrize("argv", [["bench", "--n", ","],

@@ -182,6 +182,15 @@ def test_stacked_apply_matches_per_half_applies():
                 np.testing.assert_array_equal(row, op.apply(u))
 
 
+def test_apply_to_an_empty_stack_is_empty():
+    # a stack of no rows is a block of 0 bytes, which fits the budget
+    grid = GridSpec(7, 2)
+    for op in (assemble_laplacian_2d_constant(grid),
+               assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())):
+        out = op.apply(np.empty((0, grid.m)))
+        assert out.shape == (0, grid.m)
+
+
 def test_transform_diagonalizes_constant_operator():
     for n in (3, 7, 15):
         grid = GridSpec(n, 2)
@@ -274,6 +283,9 @@ def test_blocks_cover_the_range_within_the_budget():
             assert unit_bytes * units[0] <= grid_module.BLOCK_BYTES
     # a range that fits is one block, whatever its size
     assert grid_module.blocks(31, 8 * 31 * 2 * 8) == [slice(0, 31)]
+    # a unit of 0 bytes, as in an empty stack, fits
+    assert grid_module.blocks(7, 0) == [slice(0, 7)]
+    assert grid_module.blocks(0, 0) == []
     # a unit larger than the budget is a block of its own
     assert grid_module.blocks(3, 2 * grid_module.BLOCK_BYTES) == [slice(0, 1), slice(1, 2),
                                                                   slice(2, 3)]

@@ -23,6 +23,7 @@ from abslap.spectral import (
     BRANCH_ALPHA_NONNEG,
     BRANCH_VIOLATED,
     SPECTRUM_SLACK,
+    SpectrumCertificate,
     abs_block_2x2,
     block_matrix,
     certificate_payload,
@@ -159,6 +160,18 @@ def test_uncertified_variable_case_is_flagged():
                            Shift(-10000.0, 1.0))
     assert cert.branch == BRANCH_VIOLATED
     assert not cert.certified
+
+
+def test_verdict_is_pass_fail_or_skipped():
+    poly = separable_quadratic_coefficient()
+    assert verify_spectrum(GridSpec(3, 2), poly, Shift(100.0, 100.0)).verdict == "pass"
+    # an interval that proves nothing is skipped
+    assert verify_spectrum(GridSpec(3, 2), poly, Shift(-10000.0, 1.0)).verdict == "skipped"
+    # a certified interval the spectrum leaves fails
+    failed = SpectrumCertificate(eigenvalues=np.array([-2.0, 2.0]), interval_lo_pos=0.5,
+                                 interval_hi_pos=1.5, all_inside=False, max_violation=0.5,
+                                 branch=BRANCH_ALPHA_NONNEG, certified=True)
+    assert failed.verdict == "fail"
 
 
 @pytest.mark.parametrize("n", (3, 7))
