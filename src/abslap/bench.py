@@ -103,20 +103,19 @@ class ExperimentSpec:
     verify_spectrum_up_to: int = 0
 
     def __post_init__(self):
-        SolverConfig(self.tol, self.max_iter)  # raises on a bad tol or max_iter
-        if self.coefficient not in COEFFICIENT_NAMES:
-            raise ValueError(f"unknown coefficient {self.coefficient!r}; "
-                             f"expected one of {COEFFICIENT_NAMES}")
+        # each rule has one owner, which raises on a bad value
+        SolverConfig(self.tol, self.max_iter)
+        coefficient_from_spec(self.coefficient)
+        for n in self.grid_sizes:
+            GridSpec(n)
         if self.preconditioner not in ("ideal", "averaged", "none"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.preconditioner == "ideal" and self.coefficient != "constant_one":
             raise ValueError("ideal preconditioner is exact only for constant_one")
-        for n in self.grid_sizes:
-            if n < 1:
-                raise ValueError(f"grid sizes must be positive, got {n}")
         for pair in self.shifts:
             if len(pair) != 2:
                 raise ValueError(f"shifts must be (alpha, beta) pairs, got {pair!r}")
+            Shift(*pair)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from .saddle import Shift
 from .spectral import VERIFY_CAP_2D, certificate_payload, verify_spectrum
 
 COEF_CHOICES = {"const": "constant_one", "example2": "example2_poly"}
+DEFAULTS = ExperimentSpec()
 
 
 def _power_of_two_minus_one(value: str) -> int:
@@ -101,16 +102,21 @@ def _cmd_verify(args) -> int:
                          f"got {max(args.n)}")
     coefficient_name = COEF_CHOICES[args.coef]
     coefficient = coefficient_from_spec(coefficient_name)
-    shifts = _shifts_from_args(args, coefficient_name)
     payloads = []
     ok = True
-    for n in args.n:
-        grid = GridSpec(n, 2)
-        for alpha, beta in shifts:
-            shift = Shift(alpha, beta)
-            cert = verify_spectrum(grid, coefficient, shift)
-            payloads.append(certificate_payload(grid, shift, cert))
-            ok = ok and cert.verdict != "fail"
+    # a bad shift is refused before any certificate runs; a shift the
+    # certificate cannot take, such as one that overflows the weights, is
+    # refused when it comes up
+    try:
+        shifts = [Shift(alpha, beta) for alpha, beta in _shifts_from_args(args, coefficient_name)]
+        for n in args.n:
+            grid = GridSpec(n, 2)
+            for shift in shifts:
+                cert = verify_spectrum(grid, coefficient, shift)
+                payloads.append(certificate_payload(grid, shift, cert))
+                ok = ok and cert.verdict != "fail"
+    except ValueError as exc:
+        args.usage_error(str(exc))  # exits 2
     fmt = args.format or "json"
     if fmt == "json":
         text = strict_json(payloads)
@@ -147,15 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (solve, bench):
         p.add_argument("--precond", choices=("ideal", "averaged", "none"), default=None,
                        help="preconditioner (default: ideal for const, averaged otherwise)")
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=2000)
-        p.add_argument("--seed", type=int, default=20260822)
-        p.add_argument("--verify-spectrum-up-to", type=int, default=0,
+        p.add_argument("--tol", type=float, default=DEFAULTS.tol)
+        p.add_argument("--max-iter", type=int, default=DEFAULTS.max_iter)
+        p.add_argument("--seed", type=int, default=DEFAULTS.seed)
+        p.add_argument("--verify-spectrum-up-to", type=int,
+                       default=DEFAULTS.verify_spectrum_up_to,
                        help="densely verify the spectrum for rows with n up to this "
                             "(rows above n=31 are skipped)")
 
     solve.set_defaults(func=_cmd_run, n=[63], one_row=True, usage_error=solve.error)
-    bench.set_defaults(func=_cmd_run, n=[15, 31, 63], one_row=False, usage_error=bench.error)
+    bench.set_defaults(func=_cmd_run, n=list(DEFAULTS.grid_sizes), one_row=False,
+                       usage_error=bench.error)
     verify.set_defaults(func=_cmd_verify, n=[3, 7, 15], usage_error=verify.error)
     return parser
 

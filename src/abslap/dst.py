@@ -32,8 +32,7 @@ the interpreter lock, so the blocks run in parallel.  A shared queue rather
 than one fixed chunk per thread lets the caller start at once and take over
 the blocks of a thread that starts late or whose core is busy.  A grid whose
 half spans fewer than _SPLIT_BLOCKS blocks (n < 623) is transformed in the
-caller alone and starts no thread: there, the output written from another
-core and the thread start-ups cost whole solves what the split saves.
+caller alone and starts no thread.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .grid import GridSpec, blocks
+from .grid import GridSpec, aligned_empty, blocks
 
 
 def sine_matrix(n: int) -> np.ndarray:
@@ -58,10 +57,8 @@ def sine_matrix(n: int) -> np.ndarray:
 
 
 # Threads start once a half spans this many column blocks of the shared
-# budget grid.BLOCK_BYTES, n >= 623.  A transform alone gains from n of
-# about 200, but in whole solves at n=511 (21 blocks, a stack the size of
-# one core's L2 cache) the layers after the transform lost what it saved,
-# and times scattered more; at n=1023 (86 blocks) solves were 23% faster.
+# budget grid.BLOCK_BYTES, that is for n >= 623; the timings that set it
+# are in CHANGES.md.
 _SPLIT_BLOCKS = 32
 
 
@@ -201,4 +198,6 @@ def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     axis_eigenvalues.
     """
     lam1 = axis_eigenvalues(grid)
-    return (lam1[:, None] + lam1[None, :]).ravel()
+    out = aligned_empty(grid.m)  # the preconditioner's weights are built in it
+    np.add(lam1[:, None], lam1[None, :], out=out.reshape(grid.n, grid.n))
+    return out

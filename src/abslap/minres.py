@@ -115,12 +115,15 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
                                          basis.transform, config)
         basis.transform(x, out=x)
 
+    # taken whenever rhs is nonzero, also when the recurrence saw a zero
+    # first residual: a preconditioner that maps rhs to zero stops it at x = 0
     true_rel = 0.0
-    if history[0] > 0.0:
+    rhs_norm = math.sqrt(_dot(rhs, rhs))
+    if rhs_norm > 0.0:
         ax = apply_a(x)
         # in apply_a's output, unless it handed back x itself
         residual = np.subtract(rhs, ax, out=None if ax is x else ax)
-        true_rel = math.sqrt(_dot(residual, residual)) / math.sqrt(_dot(rhs, rhs))
+        true_rel = math.sqrt(_dot(residual, residual)) / rhs_norm
     report = SolveReport(len(history) - 1, converged, np.asarray(history), true_rel)
     return x, report
 

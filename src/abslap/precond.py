@@ -89,12 +89,22 @@ class SpectralPreconditioner:
 
 def _build(grid: GridSpec, shift: Shift, gamma: float) -> SpectralPreconditioner:
     # sqrt((gamma lam + alpha)^2 + beta^2), built in the eigenvalue array;
-    # np.hypot is four times slower and no overflow is in reach
+    # np.hypot is four times slower.  A square that overflows would make a
+    # weight inf and P^-1 zero on its mode, so it raises instead: numpy's
+    # FloatingPointError, or Python's OverflowError from beta ** 2, which
+    # stays a Python power since beta * beta can differ in the last bit.
     weights = laplacian_eigenvalues(grid)
-    weights *= gamma
-    weights += shift.alpha
-    weights *= weights
-    weights += shift.beta ** 2
+    try:
+        with np.errstate(over="raise"):
+            weights *= gamma
+            weights += shift.alpha
+            weights *= weights
+            weights += shift.beta ** 2
+    except (FloatingPointError, OverflowError):
+        raise ValueError(
+            f"preconditioner weights overflow: shift ({shift.alpha:g}, {shift.beta:g}) "
+            "is too large for float64"
+        ) from None
     np.sqrt(weights, out=weights)
     idx = int(np.argmin(weights))
     if weights[idx] == 0.0:

@@ -24,6 +24,7 @@ whole-array evaluation, so the results do not depend on the block size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,14 @@ from .grid import KIND_CONSTANT, StencilOperator, blocks
 
 @dataclass(frozen=True)
 class Shift:
-    """Complex shift lambda = alpha + beta i."""
+    """Complex shift lambda = alpha + beta i, with alpha and beta finite."""
 
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"shift must be finite, got ({self.alpha:g}, {self.beta:g})")
 
 
 class SaddleOperator:

@@ -46,9 +46,6 @@ class BoundSet:
     """Interval bounds for the preconditioned spectrum and derived rates."""
 
     branch: str
-    c0: float
-    a_min: float
-    a_max: float
     gamma: float
     mu0: float
     mu0_tilde: float
@@ -70,12 +67,16 @@ class SpectrumCertificate:
     # the certified set is symmetric: [-hi, -lo] u [lo, hi]
     interval_lo_pos: float
     interval_hi_pos: float
-    all_inside: bool
     max_violation: float
     branch: str
     # False when the interval carries no proof (sign conditions violated for
     # a genuinely variable coefficient); containment is then informational.
     certified: bool
+
+    @property
+    def all_inside(self) -> bool:
+        """Every eigenvalue lies in the interval, up to SPECTRUM_SLACK."""
+        return self.max_violation <= SPECTRUM_SLACK
 
     @property
     def verdict(self) -> str:
@@ -177,8 +178,7 @@ def compute_bounds(coefficient: CoefficientField, c0: float, shift: Shift) -> Bo
         )
         branch = BRANCH_ALPHA_NEG_VALID if all(conditions) else BRANCH_VIOLATED
 
-    return BoundSet(branch, c0, a_min, a_max, gamma, mu0,
-                    mu0_tilde, mu1_tilde, theta1, theta2)
+    return BoundSet(branch, gamma, mu0, mu0_tilde, mu1_tilde, theta1, theta2)
 
 
 def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift) -> SpectrumCertificate:
@@ -225,13 +225,11 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     certified = exact or bounds.branch != BRANCH_VIOLATED
     magnitudes = np.abs(eigenvalues)
     violations = np.maximum(np.maximum(inner - magnitudes, magnitudes - outer), 0.0)
-    max_violation = float(violations.max())
     return SpectrumCertificate(
         eigenvalues=eigenvalues,
         interval_lo_pos=inner,
         interval_hi_pos=outer,
-        all_inside=bool(max_violation <= SPECTRUM_SLACK),
-        max_violation=max_violation,
+        max_violation=float(violations.max()),
         branch=bounds.branch,
         certified=certified,
     )

@@ -223,6 +223,10 @@ def test_experiment_spec_validation():
         ExperimentSpec(grid_sizes=(0,))
     with pytest.raises(ValueError):
         ExperimentSpec(shifts=((1.0, 2.0, 3.0),))
+    # shifts are checked by Shift when the spec is made
+    for pair in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(shifts=(pair,))
     # tol and max_iter are checked by SolverConfig when the spec is made
     for tol, max_iter in ((0.0, 10), (1.0, 10), (2.0, 10), (1e-8, 0), (1e-8, -1)):
         with pytest.raises(ValueError):
@@ -277,6 +281,18 @@ def test_row_error_is_recorded_and_run_continues():
     assert rows[1].error is None
     assert rows[1].converged
     assert not all_clear(rows)
+
+
+def test_overflowing_preconditioner_is_a_row_error():
+    # (gamma lam + alpha)^2 or beta^2 past float64 would make P^-1 zero and
+    # the solve a false success at x = 0; the row errors instead
+    spec = ExperimentSpec(grid_sizes=(7,), shifts=((1e200, 1.0), (1.0, 1e200), (100.0, 100.0)))
+    rows = run_experiment(spec)
+    assert [row.error is None for row in rows] == [False, False, True]
+    for row in rows[:2]:
+        assert "overflow" in row.error
+        assert not row.converged
+    assert rows[2].converged
 
 
 def test_unpreconditioned_is_an_order_of_magnitude_slower():

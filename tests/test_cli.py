@@ -215,6 +215,27 @@ def test_empty_list_is_a_usage_error(capsys, monkeypatch, argv):
     assert "expected at least one value, got ','" in _usage_error_text(capsys, argv)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--n", "7", "--alpha", "nan", "--beta", "1"], "shift must be finite"),
+    (["bench", "--n", "7", "--alpha", "1,1", "--beta", "1,inf"], "shift must be finite"),
+    (["verify", "--n", "3", "--alpha", "1,nan", "--beta", "1,1"], "shift must be finite"),
+    (["verify", "--coef", "example2", "--n", "3", "--alpha", "1e200", "--beta", "1"],
+     "preconditioner weights overflow"),
+], ids=["solve-nan", "bench-inf", "verify-nan", "verify-overflow"])
+def test_shift_the_library_refuses_is_a_usage_error(capsys, monkeypatch, argv, message):
+    # a non-finite shift is refused before any row or certificate runs; a
+    # certificate that cannot take its shift ends the run with exit 2
+    import abslap.spectral
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a row or a certificate's dense work")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    # the overflow is raised by the preconditioner build, before the dense work
+    monkeypatch.setattr(abslap.spectral, "sine_matrix", no_run)
+    assert message in _usage_error_text(capsys, argv)
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
@@ -232,3 +253,106 @@ def test_out_in_a_missing_directory_is_a_usage_error(capsys, monkeypatch, tmp_pa
     err = _usage_error_text(capsys, [command, "--n", "7", "--out", str(target)])
     assert "does not exist" in err and str(tmp_path / "missing") in err
     assert not target.parent.exists()
+
+
+# Whole reports of fixed sweeps, recorded from the command line.  A change
+# that should leave the output alone must leave these strings alone; the
+# bench rows carry their wall_time column blanked.
+GOLDEN_VERIFY_CONST_CSV = (
+    "n,alpha,beta,branch,certified,mu_inner,mu_outer,all_inside,max_violation\n"
+    "3,100,100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "3,-100,-100,alpha_neg_valid,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "3,100,-100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "3,-100,100,alpha_neg_valid,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "3,-100,1,assumptions_violated,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "3,1,-100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "7,100,100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "7,-100,-100,alpha_neg_valid,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "7,100,-100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "7,-100,100,alpha_neg_valid,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "7,-100,1,assumptions_violated,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "7,1,-100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "15,100,100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "15,-100,-100,alpha_neg_valid,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "15,100,-100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "15,-100,100,alpha_neg_valid,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "15,-100,1,assumptions_violated,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+    "15,1,-100,alpha_nonneg,True,0.707106781187,1.41421356237,True,0.000000e+00\n"
+)
+
+GOLDEN_VERIFY_EXAMPLE2_CSV = (
+    "n,alpha,beta,branch,certified,mu_inner,mu_outer,all_inside,max_violation\n"
+    "3,-600,150,alpha_neg_valid,True,0.577960459991,1.71783318998,True,0.000000e+00\n"
+    "3,-100,-25,alpha_neg_valid,True,0.656279127382,1.52187565523,True,0.000000e+00\n"
+    "3,100,-100,alpha_nonneg,True,0.673435029701,1.48492424049,True,0.000000e+00\n"
+    "3,-100,100,alpha_neg_valid,True,0.656751329578,1.52085003755,True,0.000000e+00\n"
+    "3,-100,1,alpha_neg_valid,True,0.656126146654,1.52220803243,True,0.000000e+00\n"
+    "3,1,-100,alpha_nonneg,True,0.673435029701,1.48492424049,True,0.000000e+00\n"
+    "7,-600,150,alpha_neg_valid,True,0.581289208148,1.70845287069,True,0.000000e+00\n"
+    "7,-100,-25,alpha_neg_valid,True,0.656922262545,1.52045626893,True,0.000000e+00\n"
+    "7,100,-100,alpha_nonneg,True,0.673435029701,1.48492424049,True,0.000000e+00\n"
+    "7,-100,100,alpha_neg_valid,True,0.657371168403,1.51948269332,True,0.000000e+00\n"
+    "7,-100,1,alpha_neg_valid,True,0.656776896252,1.52077162773,True,0.000000e+00\n"
+    "7,1,-100,alpha_nonneg,True,0.673435029701,1.48492424049,True,0.000000e+00\n"
+    "15,-600,150,alpha_neg_valid,True,0.582100826527,1.7061816752,True,0.000000e+00\n"
+    "15,-100,-25,alpha_neg_valid,True,0.657078542732,1.52011177343,True,0.000000e+00\n"
+    "15,100,-100,alpha_nonneg,True,0.673435029701,1.48492424049,True,0.000000e+00\n"
+    "15,-100,100,alpha_neg_valid,True,0.657521852871,1.51915067783,True,0.000000e+00\n"
+    "15,-100,1,alpha_neg_valid,True,0.656935004552,1.52042305311,True,0.000000e+00\n"
+    "15,1,-100,alpha_nonneg,True,0.673435029701,1.48492424049,True,0.000000e+00\n"
+)
+
+GOLDEN_BENCH_EXAMPLE2_CSV = (
+    "n,dof,alpha,beta,iterations,wall_time,true_residual,bound_iterations,spectrum_verdict\n"
+    "7,98,-600,150,12,,2.302929e-09,54,skipped\n"
+    "7,98,-100,-25,12,,1.979350e-09,42,skipped\n"
+    "7,98,100,-100,12,,2.790322e-09,40,skipped\n"
+    "7,98,-100,100,12,,2.518769e-09,42,skipped\n"
+    "7,98,-100,1,12,,2.710011e-09,42,skipped\n"
+    "7,98,1,-100,12,,2.367037e-09,40,skipped\n"
+    "15,450,-600,150,12,,5.174378e-09,54,skipped\n"
+    "15,450,-100,-25,12,,5.943730e-09,42,skipped\n"
+    "15,450,100,-100,12,,6.702055e-09,40,skipped\n"
+    "15,450,-100,100,12,,5.784029e-09,42,skipped\n"
+    "15,450,-100,1,12,,5.916671e-09,42,skipped\n"
+    "15,450,1,-100,12,,5.256407e-09,40,skipped\n"
+)
+
+GOLDEN_BENCH_CONST_CSV = (
+    "n,dof,alpha,beta,iterations,wall_time,true_residual,bound_iterations,spectrum_verdict\n"
+    "15,450,100,100,2,,8.074983e-16,2,skipped\n"
+    "15,450,-100,-100,2,,8.430948e-16,2,skipped\n"
+    "15,450,100,-100,2,,6.306288e-16,2,skipped\n"
+    "15,450,-100,100,2,,4.074562e-16,2,skipped\n"
+    "15,450,-100,1,2,,3.495564e-16,2,skipped\n"
+    "15,450,1,-100,2,,8.383057e-16,2,skipped\n"
+)
+
+
+def _blank_wall_time(text: str) -> str:
+    column = CSV_HEADER.split(",").index("wall_time")
+    lines = text.splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        fields = line.split(",")
+        fields[column] = ""
+        rows.append(",".join(fields))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("coef, expected", [("const", GOLDEN_VERIFY_CONST_CSV),
+                                            ("example2", GOLDEN_VERIFY_EXAMPLE2_CSV)])
+def test_verify_csv_golden(capsys, coef, expected):
+    code = main(["verify", "--coef", coef, "--n", "3,7,15", "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--coef", "example2", "--n", "7,15"], GOLDEN_BENCH_EXAMPLE2_CSV),
+    (["--coef", "const", "--n", "15"], GOLDEN_BENCH_CONST_CSV),
+], ids=["example2", "const"])
+def test_bench_csv_golden(capsys, argv, expected):
+    code = main(["bench", *argv, "--format", "csv"])
+    assert code == 0
+    assert _blank_wall_time(capsys.readouterr().out) == expected

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abslap import grid as grid_module
-from abslap.dst import SineTransform, laplacian_eigenvalues
+from abslap.dst import SineTransform, axis_eigenvalues, laplacian_eigenvalues
 from abslap.grid import (
     KIND_CONSTANT,
     KIND_VARIABLE,
@@ -289,6 +289,22 @@ def test_blocks_cover_the_range_within_the_budget():
     # a unit larger than the budget is a block of its own
     assert grid_module.blocks(3, 2 * grid_module.BLOCK_BYTES) == [slice(0, 1), slice(1, 2),
                                                                   slice(2, 3)]
+
+
+def test_aligned_empty_starts_on_a_cache_line():
+    # malloc may hand out any 16-byte offset; the array always starts on 64
+    assert grid_module.aligned_empty(0).shape == (0,)
+    for size in (1, 7, 1000, 2 ** 20):
+        for _ in range(8):
+            a = grid_module.aligned_empty(size)
+            assert a.shape == (size,) and a.dtype == np.float64
+            assert a.ctypes.data % 64 == 0
+    # the Laplacian eigenvalues, in which the preconditioner builds its
+    # weights, start on one too, with the whole-array sum's bits
+    for n in (1, 7, 63):
+        lam, lam1 = laplacian_eigenvalues(GridSpec(n)), axis_eigenvalues(GridSpec(n))
+        assert lam.ctypes.data % 64 == 0
+        assert lam.tobytes() == (lam1[:, None] + lam1[None, :]).tobytes()
 
 
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)

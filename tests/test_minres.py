@@ -32,6 +32,15 @@ def test_identity_system_converges_immediately():
     assert report.final_true_residual <= 1e-12
 
 
+def test_true_residual_is_taken_when_the_preconditioner_maps_rhs_to_zero():
+    # a zero first residual in the P^-1 norm stops the recurrence at x = 0;
+    # the true residual still measures that x against the nonzero rhs
+    x, report = minres_solve(lambda v: 2.0 * v, lambda v: np.zeros_like(v), np.ones(4),
+                             SolverConfig())
+    assert not x.any()
+    assert report.final_true_residual == 1.0
+
+
 def test_rhs_is_left_unmodified():
     rng = np.random.default_rng(1)
     rhs = rng.standard_normal(12)

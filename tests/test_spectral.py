@@ -169,7 +169,7 @@ def test_verdict_is_pass_fail_or_skipped():
     assert verify_spectrum(GridSpec(3, 2), poly, Shift(-10000.0, 1.0)).verdict == "skipped"
     # a certified interval the spectrum leaves fails
     failed = SpectrumCertificate(eigenvalues=np.array([-2.0, 2.0]), interval_lo_pos=0.5,
-                                 interval_hi_pos=1.5, all_inside=False, max_violation=0.5,
+                                 interval_hi_pos=1.5, max_violation=0.5,
                                  branch=BRANCH_ALPHA_NONNEG, certified=True)
     assert failed.verdict == "fail"
 
