@@ -240,7 +240,13 @@ def _scale_pair(v: np.ndarray, z: np.ndarray, norm: float) -> None:
 
 
 def _check_inner_product(value: float, v: np.ndarray, z: np.ndarray) -> None:
-    """Negative (z, v) beyond roundoff means the preconditioner is not SPD."""
+    """A non-finite (z, v) means the vectors' squares overflow float64, and a
+    negative one beyond roundoff that the preconditioner is not SPD."""
+    if not math.isfinite(value):
+        raise ValueError(
+            f"preconditioned inner product is {value}: the Krylov vectors "
+            "overflow float64"
+        )
     if value >= 0.0:
         return
     scale = math.sqrt(_dot(v, v)) * math.sqrt(_dot(z, z))

@@ -23,6 +23,8 @@ two transforms per solve instead of two per preconditioner apply.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dst import SineTransform, laplacian_eigenvalues
@@ -91,16 +93,19 @@ def _build(grid: GridSpec, shift: Shift, gamma: float) -> SpectralPreconditioner
     # sqrt((gamma lam + alpha)^2 + beta^2), built in the eigenvalue array;
     # np.hypot is four times slower.  A square that overflows would make a
     # weight inf and P^-1 zero on its mode, so it raises instead: numpy's
-    # FloatingPointError, or Python's OverflowError from beta ** 2, which
-    # stays a Python power since beta * beta can differ in the last bit.
+    # FloatingPointError, or an inf beta * beta, which Python returns without
+    # raising.  beta * beta, not beta ** 2, is correctly rounded everywhere.
     weights = laplacian_eigenvalues(grid)
+    beta_sq = shift.beta * shift.beta
     try:
+        if not math.isfinite(beta_sq):
+            raise FloatingPointError
         with np.errstate(over="raise"):
             weights *= gamma
             weights += shift.alpha
             weights *= weights
-            weights += shift.beta ** 2
-    except (FloatingPointError, OverflowError):
+            weights += beta_sq
+    except FloatingPointError:
         raise ValueError(
             f"preconditioner weights overflow: shift ({shift.alpha:g}, {shift.beta:g}) "
             "is too large for float64"

@@ -13,9 +13,9 @@ Three pieces of machinery live here:
   are all checked before the branch is declared valid.
 
 * verify_spectrum / verify_sandwich: dense desk-scale verification that
-  the preconditioned block spectrum, +- the singular values of one complex
-  m-by-m matrix, falls inside the certified intervals, and a randomized
-  check of the norm-equivalence sandwich
+  the preconditioned block spectrum, +- the singular values of a complex
+  m-by-m matrix taken in two half-size blocks, falls inside the certified
+  intervals, and a randomized check of the norm-equivalence sandwich
   sqrt(2)/2 <= z*sqrt(H1^2+H2^2)z / z*(H1+H2)z <= 1 for commuting PSD pairs.
 """
 
@@ -181,6 +181,41 @@ def compute_bounds(coefficient: CoefficientField, c0: float, shift: Shift) -> Bo
     return BoundSet(branch, gamma, mu0, mu0_tilde, mu1_tilde, theta1, theta2)
 
 
+def _swap_blocks(n: int, swap_symmetric: bool):
+    """Bases of the n-by-n arrays in which a matrix is block diagonal: one
+    (i, j, sign, c) per block, basis vector r built on the pair (i_r, j_r).
+
+    For a matrix that commutes with the axis swap these are the symmetric
+    arrays, (e_ij + e_ji) / sqrt(2) for i < j and e_ii, sign +1, and the
+    antisymmetric ones, (e_ij - e_ji) / sqrt(2) for i < j, sign -1.  The
+    gather weight c is 1 off the diagonal and 1/sqrt(2) on it.  Otherwise
+    there is one block, the plain basis e_ij, with sign 0 and c = 1.
+    """
+    if not swap_symmetric:
+        i, j = np.divmod(np.arange(n * n), n)
+        return [(i, j, 0.0, np.ones(n * n))]
+    i, j = np.triu_indices(n)
+    off = i < j
+    return [(i, j, 1.0, np.where(off, 1.0, math.sqrt(0.5))),
+            (i[off], j[off], -1.0, np.ones(int(off.sum())))]
+
+
+def _wkw_block(k_dense: np.ndarray, s: np.ndarray, i, j, sign: float, c) -> np.ndarray:
+    """W_b K_b W_b on one basis of _swap_blocks, each factor gathered from
+    k_dense or from products of S's entries (W[ij, kl] = S[i, k] S[j, l])."""
+    n = len(s)
+    rows = i * n + j
+    k = k_dense[np.ix_(rows, rows)]
+    w = s[np.ix_(i, i)] * s[np.ix_(j, j)]
+    if sign:
+        k += sign * k_dense[np.ix_(rows, j * n + i)]
+        w += sign * (s[np.ix_(i, j)] * s[np.ix_(j, i)])
+    weight = np.outer(c, c)
+    k *= weight
+    w *= weight
+    return w @ k @ w
+
+
 def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift) -> SpectrumCertificate:
     """Dense check that the preconditioned spectrum sits in the certified intervals.
 
@@ -194,6 +229,20 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     has each sigma^2 twice; M_hat = W M W (W^2 = I) has M's singular values.
     No transform or stencil apply of the fast path enters.  Capped at n <= 31.
 
+    Let Pi swap the grid's two axes, (ij) -> (ji).  W[ij, kl] = S[i, k] S[j, l]
+    and D[ij], a function of lam_i + lam_j, are unchanged by it, and so is
+    lambda I; K is when K = Pi K Pi, which is tested exactly on the dense K.
+    Then M_hat commutes with Pi and maps the symmetric and the antisymmetric
+    arrays into themselves.  With U the real orthogonal matrix of both
+    orthonormal bases of _swap_blocks, U^T M_hat U = blockdiag(B_s, B_a), of
+    orders n(n+1)/2 and n(n-1)/2.  Each factor commutes with Pi, so
+    B = D_b^(-1/2) (W_b K_b W_b + lambda I) D_b^(-1/2), each factor X_b
+    gathered from X: as X = Pi X Pi, X_b[ij, kl] = c c' (X[ij, kl] +- X[ij, lk]).
+    Singular values are unchanged by the unitary change of basis, so sigma
+    is the union of the blocks' singular values, and neither M_hat nor W is
+    formed.  A K that fails the test has one block, M_hat itself, in the
+    plain basis.
+
     With a_min == a_max P is the exact block absolute value (spectrum +-1),
     so the sqrt(2 a_max / a_min) interval certifies every shift.  A variable
     coefficient failing the negative-shift sign conditions is still measured,
@@ -206,14 +255,21 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
         k_op = assemble_laplacian_2d_constant(grid)
     else:
         k_op = assemble_laplacian_2d_variable(grid, coefficient)
+    n = grid.n
+    k_dense = k_op.dense()
+    swap = np.arange(grid.m).reshape(n, n).T.ravel()
+    swap_symmetric = np.array_equal(k_dense, k_dense[np.ix_(swap, swap)])
     scale = build_averaged(grid, coefficient, shift).weights ** -0.5
-    s = sine_matrix(grid.n)
-    w = np.kron(s, s)
-    m_hat = (w @ k_op.dense() @ w).astype(complex)
-    m_hat.flat[::grid.m + 1] += complex(shift.alpha, shift.beta)
-    m_hat *= np.outer(scale, scale)
-    sigma = np.linalg.svd(m_hat, compute_uv=False)  # descending
-    eigenvalues = np.concatenate([-sigma, sigma[::-1]])
+    s = sine_matrix(n)
+    sigma = []
+    for i, j, sign, c in _swap_blocks(n, swap_symmetric):
+        m_hat = _wkw_block(k_dense, s, i, j, sign, c).astype(complex)
+        m_hat.flat[::i.size + 1] += complex(shift.alpha, shift.beta)
+        d = scale[i * n + j]
+        m_hat *= np.outer(d, d)
+        sigma.append(np.linalg.svd(m_hat, compute_uv=False))
+    sigma = np.sort(np.concatenate(sigma))
+    eigenvalues = np.concatenate([-sigma[::-1], sigma])
 
     c0 = smallest_laplacian_eigenvalue(grid)
     bounds = compute_bounds(coefficient, c0, shift)

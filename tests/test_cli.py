@@ -236,6 +236,17 @@ def test_shift_the_library_refuses_is_a_usage_error(capsys, monkeypatch, argv, m
     assert message in _usage_error_text(capsys, argv)
 
 
+def test_overflowing_krylov_vectors_are_named_in_the_row_error(capsys):
+    # without a preconditioner nothing refuses the shift before MINRES, whose
+    # first inner product overflows to inf
+    code = main(["solve", "--n", "7", "--alpha", "1e200", "--beta", "1",
+                 "--precond", "none", "--format", "json"])
+    row = json.loads(capsys.readouterr().out)[0]
+    assert code == 1
+    assert "overflow float64" in row["error"]
+    assert row["iterations"] == 0
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -41,6 +41,25 @@ def test_singular_construction_rejected_with_mode_information():
     assert "16" in str(err.value)
 
 
+def test_weights_square_beta_by_multiplying():
+    # beta * beta is correctly rounded on every platform; a libm pow need not be
+    grid = GridSpec(7, 2)
+    lam = laplacian_eigenvalues(grid)
+    coefficient = separable_quadratic_coefficient()
+    rng = np.random.default_rng(15)
+    for beta in 10.0 ** rng.uniform(-3.0, 3.0, 300) * rng.choice((-1.0, 1.0), 300):
+        shift = Shift(-37.5, float(beta))
+        shifted = coefficient.gamma * lam + shift.alpha
+        expected = np.sqrt(shifted * shifted + shift.beta * shift.beta)
+        assert np.array_equal(build_averaged(grid, coefficient, shift).weights, expected)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e200, 1.0), (1.0, 1e200), (1.0, -1e200)])
+def test_overflowing_weights_are_refused(alpha, beta):
+    with pytest.raises(ValueError, match="preconditioner weights overflow"):
+        build_ideal(GridSpec(3, 2), Shift(alpha, beta))
+
+
 def test_inverse_forward_round_trip_and_zero():
     grid = GridSpec(7, 2)
     p = build_ideal(grid, Shift(-100.0, 1.0))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from abslap.bench import DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS
+from abslap.dst import sine_matrix
 from abslap.grid import (
+    CoefficientField,
     GridSpec,
     assemble_laplacian_2d_constant,
     assemble_laplacian_2d_variable,
@@ -17,6 +19,7 @@ from abslap.grid import (
 )
 from abslap.minres import bound_iterations
 from abslap.oracle import averaged_preconditioner_dense, saddle_block_dense
+from abslap.precond import build_averaged
 from abslap.saddle import Shift
 from abslap.spectral import (
     BRANCH_ALPHA_NEG_VALID,
@@ -174,17 +177,26 @@ def test_verdict_is_pass_fail_or_skipped():
     assert failed.verdict == "fail"
 
 
+def _k_dense(grid, coefficient):
+    if coefficient.is_constant_one:
+        return assemble_laplacian_2d_constant(grid).dense()
+    return assemble_laplacian_2d_variable(grid, coefficient).dense()
+
+
+# a(x1, x2) = 1 + x1 is not symmetric under the axis swap, so its certificate
+# takes the one-block route
+ASYMMETRIC = CoefficientField(lambda x1, x2: 1.0 + x1 + 0.0 * x2, 1.0, 2.0)
+
+
 @pytest.mark.parametrize("n", (3, 7))
-@pytest.mark.parametrize("coefficient", (constant_coefficient(1.0), separable_quadratic_coefficient()),
-                         ids=("const", "example2"))
+@pytest.mark.parametrize("coefficient", (constant_coefficient(1.0), separable_quadratic_coefficient(),
+                                         ASYMMETRIC),
+                         ids=("const", "example2", "asymmetric"))
 def test_certificate_matches_dense_generalized_eigenvalues(n, coefficient):
     """The certificate's eigenvalues are those of P^-1 A with P and A built by
     the dense oracles, on both default sweeps and one uncertified shift."""
     grid = GridSpec(n, 2)
-    if coefficient.is_constant_one:
-        k_dense = assemble_laplacian_2d_constant(grid).dense()
-    else:
-        k_dense = assemble_laplacian_2d_variable(grid, coefficient).dense()
+    k_dense = _k_dense(grid, coefficient)
     l_dense = assemble_laplacian_2d_constant(grid).dense()
     for alpha, beta in DEFAULT_CONSTANT_SHIFTS + DEFAULT_VARIABLE_SHIFTS + ((-10000.0, 1.0),):
         shift = Shift(alpha, beta)
@@ -193,6 +205,43 @@ def test_certificate_matches_dense_generalized_eigenvalues(n, coefficient):
         got = np.sort(verify_spectrum(grid, coefficient, shift).eigenvalues)
         assert got.shape == (2 * grid.m,)
         assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max(), (alpha, beta)
+
+
+def test_only_an_axis_swap_symmetric_stencil_is_split(monkeypatch):
+    # the built-in coefficients take two half-size SVDs and no m-by-m one;
+    # the asymmetric coefficient takes the one plain block
+    orders = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        orders.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for coefficient, expected in ((constant_coefficient(1.0), [(28, 28), (21, 21)]),
+                                  (separable_quadratic_coefficient(), [(28, 28), (21, 21)]),
+                                  (ASYMMETRIC, [(49, 49)])):
+        orders.clear()
+        verify_spectrum(GridSpec(7, 2), coefficient, Shift(100.0, 100.0))
+        assert orders == expected
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 15))
+@pytest.mark.parametrize("coefficient", (constant_coefficient(1.0), separable_quadratic_coefficient()),
+                         ids=("const", "example2"))
+def test_split_singular_values_match_the_full_matrix(n, coefficient):
+    """The two half-size blocks' singular values are those of the full
+    M_hat = D^-1/2 (W K W + lambda I) D^-1/2, taken by one dense SVD."""
+    grid = GridSpec(n, 2)
+    s = sine_matrix(n)
+    w = np.kron(s, s)
+    wkw = w @ _k_dense(grid, coefficient) @ w
+    for shift in (Shift(100.0, 100.0), Shift(-600.0, 150.0), Shift(-10000.0, 1.0)):
+        scale = build_averaged(grid, coefficient, shift).weights ** -0.5
+        m_hat = (wkw + complex(shift.alpha, shift.beta) * np.eye(grid.m)) * np.outer(scale, scale)
+        expected = np.linalg.svd(m_hat, compute_uv=False)[::-1]  # ascending
+        got = verify_spectrum(grid, coefficient, shift).eigenvalues[grid.m:]
+        assert np.abs(got - expected).max() <= 1e-13, (n, shift)
 
 
 def test_verify_spectrum_caps():
