@@ -153,6 +153,17 @@ class StencilOperator:
     def scale(self) -> float:
         return (self.grid.n + 1.0) ** 2  # 1/h^2
 
+    @property
+    def edges(self):
+        """Unscaled (ax, ay, diag): the edge coefficients, ax of shape (n+1, n)
+        between (i-1, j) and (i, j) and ay of shape (n, n+1) between (i, j-1)
+        and (i, j), and the row diagonal, the sum of a point's four edges.
+        The constant kind's edges are all 1 and its diagonal is 4."""
+        if self._edges is None:
+            n = self.grid.n
+            return np.ones((n + 1, n)), np.ones((n, n + 1)), np.full((n, n), 4.0)
+        return (*self._edges, self._diag)
+
     def apply(self, u: np.ndarray) -> np.ndarray:
         """K u for a flat vector (m,) or for each row of a stack (B, m); same shape out."""
         g = self.grid
@@ -205,10 +216,7 @@ class StencilOperator:
         if g.n > DENSE_CAP_2D:
             raise ValueError(f"dense operator capped at n={DENSE_CAP_2D}, got {g.n}")
         n, m = g.n, g.m
-        if self._edges is None:  # unit edges
-            (ax, ay), diag = (np.ones((n + 1, n)), np.ones((n, n + 1))), 4.0
-        else:
-            (ax, ay), diag = self._edges, self._diag
+        ax, ay, diag = self.edges
         a = np.zeros((m, m))
         idx = np.arange(m).reshape(n, n)
         a[idx, idx] = diag
@@ -220,7 +228,8 @@ class StencilOperator:
         cols = idx[:, 1:].ravel()
         a[rows, cols] = -ay[:, 1:-1].ravel()
         a[cols, rows] = -ay[:, 1:-1].ravel()
-        return a * self.scale
+        a *= self.scale
+        return a
 
 
 def assemble_laplacian_2d_constant(grid: GridSpec) -> StencilOperator:

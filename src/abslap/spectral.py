@@ -17,6 +17,12 @@ Three pieces of machinery live here:
   m-by-m matrix taken in two half-size blocks, falls inside the certified
   intervals, and a randomized check of the norm-equivalence sandwich
   sqrt(2)/2 <= z*sqrt(H1^2+H2^2)z / z*(H1+H2)z <= 1 for commuting PSD pairs.
+  Each block B is gathered from the stencil's edges and the 1D sine matrix,
+  and its singular values are the square roots of the eigenvalues of the
+  Hermitian B*B, one eigensolve per block.  Squaring puts an error of about
+  eps sigma_max^2 / sigma_k on sigma_k, far below SPECTRUM_SLACK while
+  sigma_min >~ 1e-7 sigma_max; an eigenvalue that rounding takes below 0 is
+  clipped there, so no sigma is NaN.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dst import sine_matrix
-from .grid import (CoefficientField, GridSpec, assemble_laplacian_2d_constant,
+from .grid import (CoefficientField, GridSpec, StencilOperator, assemble_laplacian_2d_constant,
                    assemble_laplacian_2d_variable, smallest_laplacian_eigenvalue)
 from .precond import build_averaged
 from .saddle import Shift
@@ -200,20 +206,58 @@ def _swap_blocks(n: int, swap_symmetric: bool):
             (i[off], j[off], -1.0, np.ones(int(off.sum())))]
 
 
-def _wkw_block(k_dense: np.ndarray, s: np.ndarray, i, j, sign: float, c) -> np.ndarray:
-    """W_b K_b W_b on one basis of _swap_blocks, each factor gathered from
-    k_dense or from products of S's entries (W[ij, kl] = S[i, k] S[j, l])."""
-    n = len(s)
-    rows = i * n + j
-    k = k_dense[np.ix_(rows, rows)]
+def _swap_symmetric(k_op: StencilOperator) -> bool:
+    """Whether K = Pi K Pi for the axis swap Pi, (ij) -> (ji), tested exactly on
+    the stencil's edges.  Pi maps K's off-diagonal entries, the interior edges
+    ax[1:-1], onto ay[:, 1:-1]^T, and its diagonal onto the diagonal's
+    transpose.  The constant stencil always passes."""
+    ax, ay, diag = k_op.edges
+    return np.array_equal(ax[1:-1], ay[:, 1:-1].T) and np.array_equal(diag, diag.T)
+
+
+def _k_block(k_op: StencilOperator, i, j, sign: float, c) -> np.ndarray:
+    """K_b on one basis of _swap_blocks, scattered from the stencil's edges.
+
+    Basis vector r sits on the pair (i_r, j_r), and pos[p, q] = pos[q, p] is
+    the basis vector on {p, q}; the plain basis writes pos[q, p] first and
+    pos[p, q] last, so each of its arrays keeps its own.  Row r's five
+    stencil entries K[i_r j_r, pq] go to K_b[r, pos[p, q]] times c_r c_r'
+    and a factor: 1 when (p, q) is that basis vector's own pair, the block's
+    sign when it is the swapped pair, and 1 + sign when p == q, both at once.
+    A point of the antisymmetric block's diagonal has no basis vector; its
+    factor 1 + sign is 0.  No m-by-m matrix is formed.
+    """
+    n = k_op.grid.n
+    ax, ay, diag = k_op.edges
+    size = i.size
+    r = np.arange(size)
+    pos = np.full((n, n), -1)
+    pos[j, i] = r
+    pos[i, j] = r
+    # (row, p, q, value) of the diagonal and of the four neighbours inside the grid
+    entries = [(r, i, j, diag[i, j])]
+    for p, q, edge in ((i + 1, j, ax[i + 1, j]), (i - 1, j, ax[i, j]),
+                       (i, j + 1, ay[i, j + 1]), (i, j - 1, ay[i, j])):
+        inside = (p >= 0) & (p < n) & (q >= 0) & (q < n)
+        entries.append((r[inside], p[inside], q[inside], -edge[inside]))
+    rows, p, q, value = (np.concatenate(parts) for parts in zip(*entries))
+    cols = pos[p, q]
+    kept = cols >= 0
+    rows, p, cols, value = rows[kept], p[kept], cols[kept], value[kept]
+    factor = (i[cols] == p) + sign * (j[cols] == p)
+    k = np.zeros((size, size))
+    np.add.at(k, (rows, cols), factor * value * (c[rows] * c[cols] * k_op.scale))
+    return k
+
+
+def _wkw_block(k_op: StencilOperator, s: np.ndarray, i, j, sign: float, c) -> np.ndarray:
+    """W_b K_b W_b on one basis of _swap_blocks: K_b from the stencil's edges,
+    W_b from products of S's entries (W[ij, kl] = S[i, k] S[j, l])."""
     w = s[np.ix_(i, i)] * s[np.ix_(j, j)]
     if sign:
-        k += sign * k_dense[np.ix_(rows, j * n + i)]
         w += sign * (s[np.ix_(i, j)] * s[np.ix_(j, i)])
-    weight = np.outer(c, c)
-    k *= weight
-    w *= weight
-    return w @ k @ w
+    w *= np.outer(c, c)
+    return w @ _k_block(k_op, i, j, sign, c) @ w
 
 
 def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift) -> SpectrumCertificate:
@@ -231,17 +275,33 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
 
     Let Pi swap the grid's two axes, (ij) -> (ji).  W[ij, kl] = S[i, k] S[j, l]
     and D[ij], a function of lam_i + lam_j, are unchanged by it, and so is
-    lambda I; K is when K = Pi K Pi, which is tested exactly on the dense K.
+    lambda I; K is when its interior edges and its diagonal are, which
+    _swap_symmetric tests exactly.
     Then M_hat commutes with Pi and maps the symmetric and the antisymmetric
     arrays into themselves.  With U the real orthogonal matrix of both
     orthonormal bases of _swap_blocks, U^T M_hat U = blockdiag(B_s, B_a), of
     orders n(n+1)/2 and n(n-1)/2.  Each factor commutes with Pi, so
     B = D_b^(-1/2) (W_b K_b W_b + lambda I) D_b^(-1/2), each factor X_b
     gathered from X: as X = Pi X Pi, X_b[ij, kl] = c c' (X[ij, kl] +- X[ij, lk]).
-    Singular values are unchanged by the unitary change of basis, so sigma
-    is the union of the blocks' singular values, and neither M_hat nor W is
-    formed.  A K that fails the test has one block, M_hat itself, in the
+    K_b is scattered from the stencil's edges by _k_block and W_b from S, so
+    neither K, M_hat nor W is formed.  Singular values are unchanged by the
+    unitary change of basis, so sigma is the union of the blocks' singular
+    values.  A K that fails the test has one block, M_hat itself, in the
     plain basis.
+
+    Each block's sigma comes from one Hermitian eigensolve in place of an
+    SVD.  With d_b = D_b^(-1/2), B = G + iE for the real symmetric
+    G = d_b (W_b K_b W_b + alpha I) d_b and the diagonal E = beta d_b^2, so
+    B*B = G G + E^2 + i (G E - E G) takes one real matrix product, and
+    sigma = sqrt(eigvalsh(B*B)).  Squaring costs accuracy only near
+    sigma = 0: eigvalsh's absolute error in sigma_k^2 is about
+    eps sigma_max^2, so the error in sigma_k is about
+    eps sigma_max^2 / sigma_k (Golub & Van Loan, Matrix Computations, 4th
+    ed., section 8.6).  That is far below SPECTRUM_SLACK for any
+    sigma_min >~ 1e-7 sigma_max; the certified intervals keep sigma near 1.
+    B*B is positive semidefinite, but a sigma^2 below eps sigma_max^2 can come
+    back slightly negative, so it is clipped at 0 before the square root,
+    which would otherwise return NaN.
 
     With a_min == a_max P is the exact block absolute value (spectrum +-1),
     so the sqrt(2 a_max / a_min) interval certifies every shift.  A variable
@@ -256,18 +316,20 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     else:
         k_op = assemble_laplacian_2d_variable(grid, coefficient)
     n = grid.n
-    k_dense = k_op.dense()
-    swap = np.arange(grid.m).reshape(n, n).T.ravel()
-    swap_symmetric = np.array_equal(k_dense, k_dense[np.ix_(swap, swap)])
     scale = build_averaged(grid, coefficient, shift).weights ** -0.5
     s = sine_matrix(n)
     sigma = []
-    for i, j, sign, c in _swap_blocks(n, swap_symmetric):
-        m_hat = _wkw_block(k_dense, s, i, j, sign, c).astype(complex)
-        m_hat.flat[::i.size + 1] += complex(shift.alpha, shift.beta)
+    for i, j, sign, c in _swap_blocks(n, _swap_symmetric(k_op)):
+        g = _wkw_block(k_op, s, i, j, sign, c)
+        g.flat[::i.size + 1] += shift.alpha
         d = scale[i * n + j]
-        m_hat *= np.outer(d, d)
-        sigma.append(np.linalg.svd(m_hat, compute_uv=False))
+        g *= np.outer(d, d)
+        e = shift.beta * (d * d)
+        h = np.empty(g.shape, complex)
+        h.real = g @ g
+        h.real.flat[::i.size + 1] += e * e
+        h.imag = g * (e[None, :] - e[:, None])
+        sigma.append(np.sqrt(np.maximum(np.linalg.eigvalsh(h), 0.0)))
     sigma = np.sort(np.concatenate(sigma))
     eigenvalues = np.concatenate([-sigma[::-1], sigma])
 

@@ -11,6 +11,7 @@ from abslap.dst import sine_matrix
 from abslap.grid import (
     CoefficientField,
     GridSpec,
+    StencilOperator,
     assemble_laplacian_2d_constant,
     assemble_laplacian_2d_variable,
     constant_coefficient,
@@ -27,6 +28,9 @@ from abslap.spectral import (
     BRANCH_VIOLATED,
     SPECTRUM_SLACK,
     SpectrumCertificate,
+    _k_block,
+    _swap_blocks,
+    _swap_symmetric,
     abs_block_2x2,
     block_matrix,
     certificate_payload,
@@ -177,10 +181,14 @@ def test_verdict_is_pass_fail_or_skipped():
     assert failed.verdict == "fail"
 
 
-def _k_dense(grid, coefficient):
+def _k_op(grid, coefficient):
     if coefficient.is_constant_one:
-        return assemble_laplacian_2d_constant(grid).dense()
-    return assemble_laplacian_2d_variable(grid, coefficient).dense()
+        return assemble_laplacian_2d_constant(grid)
+    return assemble_laplacian_2d_variable(grid, coefficient)
+
+
+def _k_dense(grid, coefficient):
+    return _k_op(grid, coefficient).dense()
 
 
 # a(x1, x2) = 1 + x1 is not symmetric under the axis swap, so its certificate
@@ -208,16 +216,22 @@ def test_certificate_matches_dense_generalized_eigenvalues(n, coefficient):
 
 
 def test_only_an_axis_swap_symmetric_stencil_is_split(monkeypatch):
-    # the built-in coefficients take two half-size SVDs and no m-by-m one;
-    # the asymmetric coefficient takes the one plain block
+    # the built-in coefficients take two half-size Hermitian eigensolves and
+    # no m-by-m one; the asymmetric coefficient takes the one plain block.
+    # No SVD is taken and no dense K is formed.
     orders = []
-    svd = np.linalg.svd
+    eigvalsh = np.linalg.eigvalsh
 
-    def recording_svd(a, *args, **kwargs):
+    def recording_eigvalsh(a, *args, **kwargs):
         orders.append(a.shape)
-        return svd(a, *args, **kwargs)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    def refused(*args, **kwargs):
+        raise AssertionError("verify_spectrum must not call this")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(StencilOperator, "dense", refused)
     for coefficient, expected in ((constant_coefficient(1.0), [(28, 28), (21, 21)]),
                                   (separable_quadratic_coefficient(), [(28, 28), (21, 21)]),
                                   (ASYMMETRIC, [(49, 49)])):
@@ -226,17 +240,43 @@ def test_only_an_axis_swap_symmetric_stencil_is_split(monkeypatch):
         assert orders == expected
 
 
+COEFFICIENTS = (constant_coefficient(1.0), separable_quadratic_coefficient(), ASYMMETRIC)
+COEFFICIENT_IDS = ("const", "example2", "asymmetric")
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, 7, 15))
-@pytest.mark.parametrize("coefficient", (constant_coefficient(1.0), separable_quadratic_coefficient()),
-                         ids=("const", "example2"))
+@pytest.mark.parametrize("coefficient", COEFFICIENTS, ids=COEFFICIENT_IDS)
+def test_edge_gathered_blocks_match_the_dense_gather(n, coefficient):
+    """Each K_b scattered from the stencil's edges equals
+    c c' (K[rows, rows] + sign K[rows, swapped]) gathered from the dense K, in
+    the swap bases and in the plain one, and the edge test for K = Pi K Pi
+    agrees with the dense one."""
+    grid = GridSpec(n, 2)
+    k_op = _k_op(grid, coefficient)
+    k_dense = k_op.dense()
+    swap = np.arange(grid.m).reshape(n, n).T.ravel()
+    assert _swap_symmetric(k_op) == np.array_equal(k_dense, k_dense[np.ix_(swap, swap)])
+    for split in (True, False):
+        for i, j, sign, c in _swap_blocks(n, split):
+            rows, swapped = i * n + j, j * n + i
+            expected = np.outer(c, c) * (k_dense[np.ix_(rows, rows)]
+                                         + sign * k_dense[np.ix_(rows, swapped)])
+            got = _k_block(k_op, i, j, sign, c)
+            assert np.abs(got - expected).max(initial=0.0) <= 1e-14 * np.abs(expected).max(initial=0.0), \
+                (split, sign)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 15))
+@pytest.mark.parametrize("coefficient", COEFFICIENTS, ids=COEFFICIENT_IDS)
 def test_split_singular_values_match_the_full_matrix(n, coefficient):
-    """The two half-size blocks' singular values are those of the full
+    """The blocks' singular values are those of the full
     M_hat = D^-1/2 (W K W + lambda I) D^-1/2, taken by one dense SVD."""
     grid = GridSpec(n, 2)
     s = sine_matrix(n)
     w = np.kron(s, s)
     wkw = w @ _k_dense(grid, coefficient) @ w
-    for shift in (Shift(100.0, 100.0), Shift(-600.0, 150.0), Shift(-10000.0, 1.0)):
+    for shift in (Shift(100.0, 100.0), Shift(-600.0, 150.0), Shift(-10000.0, 1.0),
+                  Shift(-9000.0, 10.0), Shift(-20000.0, 100.0), Shift(100.0, 0.0)):
         scale = build_averaged(grid, coefficient, shift).weights ** -0.5
         m_hat = (wkw + complex(shift.alpha, shift.beta) * np.eye(grid.m)) * np.outer(scale, scale)
         expected = np.linalg.svd(m_hat, compute_uv=False)[::-1]  # ascending
