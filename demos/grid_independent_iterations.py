@@ -13,12 +13,11 @@ preconditioner apply.
 
 from abslap.bench import (DEFAULT_VARIABLE_SHIFTS, coefficient_from_spec,
                           generate_rhs, solve_shifted)
-from abslap.grid import (GridSpec, assemble_laplacian_2d_variable,
-                         smallest_laplacian_eigenvalue)
-from abslap.minres import SolverConfig, bound_iterations
+from abslap.grid import GridSpec, assemble_laplacian_2d_variable
+from abslap.minres import SolverConfig
 from abslap.precond import build_averaged
 from abslap.saddle import Shift
-from abslap.spectral import compute_bounds
+from abslap.spectral import iteration_bound
 
 TOL = 1e-8
 SIZES = (15, 31, 63, 127)
@@ -42,10 +41,7 @@ def main():
                                       SolverConfig(tol=TOL, max_iter=2000))
             assert report.converged
             counts.append(report.iterations)
-            bounds = compute_bounds(coefficient, smallest_laplacian_eigenvalue(grid),
-                                    shift)
-            inner, outer = bounds.interval
-            bound = bound_iterations(outer, inner, inner, outer, TOL)
+            bound = iteration_bound(grid, coefficient, shift, TOL)
             assert report.iterations <= bound
         row = f"({alpha:g},{beta:g})".rjust(14)
         row += "".join(f"{c:>8}" for c in counts) + f"{bound:>8}"

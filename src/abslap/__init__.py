@@ -16,8 +16,8 @@ from .grid import (CoefficientField, GridSpec, StencilOperator,
 from .minres import SolveReport, SolverConfig, bound_iterations, minres_solve
 from .precond import SpectralPreconditioner, build_averaged, build_ideal
 from .saddle import SaddleOperator, Shift, real_to_complex, saddle_rhs
-from .spectral import (BoundSet, SpectrumCertificate, abs_block_2x2,
-                       compute_bounds, verify_sandwich, verify_spectrum)
+from .spectral import (BoundSet, SpectrumCertificate, abs_block_2x2, compute_bounds,
+                       iteration_bound, verify_sandwich, verify_spectrum)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "StencilOperator", "abs_block_2x2", "assemble_laplacian_2d_constant",
     "assemble_laplacian_2d_variable", "bound_iterations", "build_averaged",
     "build_ideal", "constant_coefficient", "emit_report", "generate_rhs",
-    "laplacian_eigenvalues", "minres_solve", "real_to_complex", "run_experiment",
-    "saddle_rhs", "separable_quadratic_coefficient", "smallest_laplacian_eigenvalue",
-    "solve_shifted", "verify_sandwich", "verify_spectrum",
+    "iteration_bound", "laplacian_eigenvalues", "minres_solve", "real_to_complex",
+    "run_experiment", "saddle_rhs", "separable_quadratic_coefficient",
+    "smallest_laplacian_eigenvalue", "solve_shifted", "verify_sandwich", "verify_spectrum",
 ]

@@ -30,12 +30,11 @@ import numpy as np
 
 from .grid import (KIND_CONSTANT, CoefficientField, GridSpec,
                    assemble_laplacian_2d_constant, assemble_laplacian_2d_variable,
-                   constant_coefficient, separable_quadratic_coefficient,
-                   smallest_laplacian_eigenvalue)
-from .minres import SolverConfig, bound_iterations, minres_solve
+                   constant_coefficient, separable_quadratic_coefficient)
+from .minres import SolverConfig, minres_solve
 from .precond import build_averaged, build_ideal, sine_basis
 from .saddle import SaddleOperator, Shift, saddle_rhs
-from .spectral import BRANCH_VIOLATED, VERIFY_CAP_2D, compute_bounds, verify_spectrum
+from .spectral import VERIFY_CAP_2D, iteration_bound, verify_spectrum
 
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -49,6 +48,10 @@ DEFAULT_CONSTANT_SHIFTS = ((100.0, 100.0), (-100.0, -100.0), (100.0, -100.0),
                            (-100.0, 100.0), (-100.0, 1.0), (1.0, -100.0))
 DEFAULT_VARIABLE_SHIFTS = ((-600.0, 150.0), (-100.0, -25.0), (100.0, -100.0),
                            (-100.0, 100.0), (-100.0, 1.0), (1.0, -100.0))
+# Each coefficient's default (shifts, preconditioner), which ExperimentSpec
+# takes for a field left at None.
+_COEFFICIENT_DEFAULTS = {"constant_one": (DEFAULT_CONSTANT_SHIFTS, "ideal"),
+                         "example2_poly": (DEFAULT_VARIABLE_SHIFTS, "averaged")}
 
 CSV_HEADER = "n,dof,alpha,beta,iterations,wall_time,true_residual,bound_iterations,spectrum_verdict"
 
@@ -93,10 +96,14 @@ class RandomStream:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One sweep.  shifts and preconditioner left at None take the
+    coefficient's defaults: DEFAULT_CONSTANT_SHIFTS and "ideal" for
+    constant_one, DEFAULT_VARIABLE_SHIFTS and "averaged" for example2_poly."""
+
     grid_sizes: tuple = (15, 31, 63)
-    shifts: tuple = DEFAULT_CONSTANT_SHIFTS
+    shifts: tuple | None = None
     coefficient: str = "constant_one"
-    preconditioner: str = "ideal"
+    preconditioner: str | None = None
     tol: float = 1e-8
     max_iter: int = 2000
     seed: int = 20260822
@@ -106,6 +113,11 @@ class ExperimentSpec:
         # each rule has one owner, which raises on a bad value
         SolverConfig(self.tol, self.max_iter)
         coefficient_from_spec(self.coefficient)
+        shifts, preconditioner = _COEFFICIENT_DEFAULTS[self.coefficient]
+        if self.shifts is None:
+            object.__setattr__(self, "shifts", shifts)
+        if self.preconditioner is None:
+            object.__setattr__(self, "preconditioner", preconditioner)
         for n in self.grid_sizes:
             GridSpec(n)
         if self.preconditioner not in ("ideal", "averaged", "none"):
@@ -177,20 +189,6 @@ def solve_shifted(k_op, shift: Shift, precond, f, config: SolverConfig):
     return minres_solve(operator.apply, apply_pinv, saddle_rhs(f), config, basis=basis)
 
 
-def _iteration_bound(spec: ExperimentSpec, coefficient, grid, shift):
-    if spec.preconditioner == "none":
-        return None
-    if coefficient.a_min == coefficient.a_max:
-        # exact absolute value: spectrum is {-1, +1}
-        return bound_iterations(1.0, 1.0, 1.0, 1.0, spec.tol)
-    c0 = smallest_laplacian_eigenvalue(grid)
-    bounds = compute_bounds(coefficient, c0, shift)
-    if bounds.branch == BRANCH_VIOLATED:
-        return None
-    inner, outer = bounds.interval
-    return bound_iterations(outer, inner, inner, outer, spec.tol)
-
-
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     """Run the sweep row by row; failures are recorded, not raised."""
     coefficient = coefficient_from_spec(spec.coefficient)
@@ -234,7 +232,9 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
     row.iterations = report.iterations
     row.converged = report.converged
     row.true_residual = report.final_true_residual
-    row.bound_iterations = _iteration_bound(spec, coefficient, grid, shift)
+    # without a preconditioner no interval is proved
+    if precond is not None:
+        row.bound_iterations = iteration_bound(grid, coefficient, shift, spec.tol)
     # rows above the dense cap cannot be verified and stay "skipped"
     if min(spec.verify_spectrum_up_to, VERIFY_CAP_2D) >= grid.n and precond is not None:
         row.spectrum_verdict = verify_spectrum(grid, coefficient, shift).verdict

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
-from .bench import (DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS,
-                    ExperimentSpec, all_clear, coefficient_from_spec,
-                    emit_report, run_experiment, strict_json)
+from .bench import (ExperimentSpec, all_clear, coefficient_from_spec, emit_report,
+                    run_experiment, strict_json)
 from .grid import GridSpec
 from .saddle import Shift
 from .spectral import VERIFY_CAP_2D, certificate_payload, verify_spectrum
@@ -56,14 +56,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this path")
 
 
-def _shifts_from_args(args, coefficient_name: str):
+def _shifts_from_args(args):
+    """The (alpha, beta) pairs given, or None for the coefficient's defaults."""
     if args.alpha is None and args.beta is None:
-        if coefficient_name == "constant_one":
-            return list(DEFAULT_CONSTANT_SHIFTS)
-        return list(DEFAULT_VARIABLE_SHIFTS)
+        return None
     if args.alpha is None or args.beta is None or len(args.alpha) != len(args.beta):
         args.usage_error("--alpha and --beta must both be given, with equal counts")
-    return list(zip(args.alpha, args.beta))
+    return tuple(zip(args.alpha, args.beta))
 
 
 def _emit(text: str, out_path) -> None:
@@ -76,21 +75,20 @@ def _emit(text: str, out_path) -> None:
 
 def _cmd_run(args) -> int:
     """solve and bench; solve runs one row, at the first default shift if none is given."""
-    coefficient_name = COEF_CHOICES[args.coef]
-    shifts = _shifts_from_args(args, coefficient_name)
-    if args.one_row:
-        if len(args.n) != 1 or (args.alpha is not None and len(shifts) != 1):
-            args.usage_error("solve takes exactly one grid size and exactly one shift; "
-                             "use bench for sweeps")
-        shifts = shifts[:1]
-    precond = args.precond or ("ideal" if args.coef == "const" else "averaged")
+    shifts = _shifts_from_args(args)
+    if args.one_row and (len(args.n) != 1 or (shifts is not None and len(shifts) != 1)):
+        args.usage_error("solve takes exactly one grid size and exactly one shift; "
+                         "use bench for sweeps")
     try:
-        spec = ExperimentSpec(grid_sizes=tuple(args.n), shifts=tuple(shifts),
-                              coefficient=coefficient_name, preconditioner=precond,
+        spec = ExperimentSpec(grid_sizes=tuple(args.n), shifts=shifts,
+                              coefficient=COEF_CHOICES[args.coef],
+                              preconditioner=args.precond,
                               tol=args.tol, max_iter=args.max_iter, seed=args.seed,
                               verify_spectrum_up_to=args.verify_spectrum_up_to)
     except ValueError as exc:
         args.usage_error(str(exc))  # exits 2
+    if args.one_row:
+        spec = dataclasses.replace(spec, shifts=spec.shifts[:1])
     rows = run_experiment(spec)
     _emit(emit_report(rows, args.format or "text_table"), args.out)
     return 0 if all_clear(rows) else 1
@@ -108,7 +106,8 @@ def _cmd_verify(args) -> int:
     # certificate cannot take, such as one that overflows the weights, is
     # refused when it comes up
     try:
-        shifts = [Shift(alpha, beta) for alpha, beta in _shifts_from_args(args, coefficient_name)]
+        pairs = _shifts_from_args(args) or ExperimentSpec(coefficient=coefficient_name).shifts
+        shifts = [Shift(alpha, beta) for alpha, beta in pairs]
         for n in args.n:
             grid = GridSpec(n, 2)
             for shift in shifts:
@@ -175,6 +174,8 @@ def main(argv=None) -> int:
         directory = os.path.dirname(args.out) or "."
         if not os.path.isdir(directory):
             args.usage_error(f"--out: directory {directory!r} does not exist")
+        if os.path.isdir(args.out):
+            args.usage_error(f"--out: {args.out!r} is a directory, not a file")
     return args.func(args)
 
 

@@ -45,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .grid import GridSpec, aligned_empty, blocks
+from .grid import GridSpec, aligned_empty, blocks, grid_stack
 
 
 def sine_matrix(n: int) -> np.ndarray:
@@ -139,26 +139,10 @@ class SineTransform:
         if n < 1:
             raise ValueError(f"transform size must be >= 1, got {n}")
         self.n = n
-        self._matrix = None
 
     @property
     def size(self) -> int:
         return self.n * self.n
-
-    def matrix(self) -> np.ndarray:
-        """Cached dense one-dimensional transform matrix."""
-        if self._matrix is None:
-            self._matrix = sine_matrix(self.n)
-        return self._matrix
-
-    def _check(self, v: np.ndarray) -> np.ndarray:
-        """Validate a flat vector (m,) or a stack (B, m); view it as (B, n, n)."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.size:
-            raise ValueError(
-                f"expected shape ({self.size},) or (B, {self.size}), got {v.shape}"
-            )
-        return v.reshape(-1, self.n, self.n)
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """2D transform of a flat vector or of each row of a stack; same shape out.
@@ -167,7 +151,7 @@ class SineTransform:
         returned; otherwise into a new array.  out must be a C-contiguous
         float64 array of v's shape, and may be v itself.
         """
-        x = self._check(v)
+        x = grid_stack(v, self.n)
         if out is None:
             return _dst2(x).reshape(np.shape(v))
         if (not isinstance(out, np.ndarray) or out.shape != np.shape(v)
@@ -178,8 +162,8 @@ class SineTransform:
         return out
 
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
-        s = self.matrix()
-        return (s @ self._check(v) @ s).reshape(np.shape(v))
+        s = sine_matrix(self.n)
+        return (s @ grid_stack(v, self.n) @ s).reshape(np.shape(v))
 
 
 def axis_eigenvalues(grid: GridSpec) -> np.ndarray:

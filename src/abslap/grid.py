@@ -126,6 +126,25 @@ def blocks(length: int, unit_bytes: int) -> list[slice]:
     return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
 
 
+def grid_stack(v, n: int) -> np.ndarray:
+    """Validate a flat grid vector (m,) or a stack (B, m), m = n*n, as float64;
+    view it as the (B, n, n) stack of its grid arrays."""
+    v = np.asarray(v, dtype=float)
+    m = n * n
+    if v.ndim not in (1, 2) or v.shape[-1] != m:
+        raise ValueError(f"expected shape ({m},) or (B, {m}), got {v.shape}")
+    return v.reshape(-1, n, n)
+
+
+def stacked_halves(w, m: int) -> np.ndarray:
+    """Validate a stacked block vector of length 2m as float64; view it as its
+    (2, m) halves."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (2 * m,):
+        raise ValueError(f"expected stacked vector of length {2 * m}, got shape {w.shape}")
+    return w.reshape(2, m)
+
+
 class StencilOperator:
     """Matrix-free symmetric positive definite five-point operator.
 
@@ -166,15 +185,11 @@ class StencilOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """K u for a flat vector (m,) or for each row of a stack (B, m); same shape out."""
-        g = self.grid
-        u = np.asarray(u, dtype=float)
-        if u.ndim not in (1, 2) or u.shape[-1] != g.m:
-            raise ValueError(f"expected shape ({g.m},) or (B, {g.m}), got {u.shape}")
-        v = u.reshape(-1, g.n, g.n)
+        v = grid_stack(u, self.grid.n)
         out = np.empty(v.shape)
         for _ in self.apply_in_blocks(v, out):
             pass
-        return out.reshape(u.shape)
+        return out.reshape(np.shape(u))
 
     def apply_in_blocks(self, v: np.ndarray, out: np.ndarray, extra: int = 0):
         """Write K v into out for a (B, n, n) stack v, one row block at a time.

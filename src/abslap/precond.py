@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from .dst import SineTransform, laplacian_eigenvalues
-from .grid import DENSE_CAP_2D, CoefficientField, GridSpec
+from .dst import SineTransform, laplacian_eigenvalues, sine_matrix
+from .grid import DENSE_CAP_2D, CoefficientField, GridSpec, stacked_halves
 from .minres import Basis
 from .saddle import SaddleOperator, Shift
 
@@ -43,15 +43,6 @@ class SpectralPreconditioner:
         self.transform = SineTransform(grid.n)
         self.m = grid.m
 
-    def _halves(self, w: np.ndarray) -> np.ndarray:
-        """Validate a stacked vector of length 2m; view it as its (2, m) halves."""
-        w = np.asarray(w, dtype=float)
-        if w.shape != (2 * self.m,):
-            raise ValueError(
-                f"expected stacked vector of length {2 * self.m}, got shape {w.shape}"
-            )
-        return w.reshape(2, self.m)
-
     def apply_inverse(self, w: np.ndarray) -> np.ndarray:
         """Apply P^-1 to a stacked vector: one transform pair over both block halves.
 
@@ -59,13 +50,13 @@ class SpectralPreconditioner:
         output, which is returned; w is not modified.
         """
         t = self.transform
-        x = t.apply(self._halves(w))
+        x = t.apply(stacked_halves(w, self.m))
         x /= self.weights
         return t.apply(x, out=x).ravel()
 
     def apply_inverse_in_sine_basis(self, w: np.ndarray) -> np.ndarray:
         """W P^-1 W w, W the 2D sine transform on each half: a divide by the weights."""
-        return (self._halves(w) / self.weights).ravel()
+        return (stacked_halves(w, self.m) / self.weights).ravel()
 
     def materialize_block(self, exponent: float = 1.0) -> np.ndarray:
         """Dense m-by-m matrix of one diagonal block at the given power.
@@ -75,7 +66,7 @@ class SpectralPreconditioner:
         """
         if self.grid.n > DENSE_CAP_2D:
             raise ValueError(f"dense block capped at n={DENSE_CAP_2D}, got {self.grid.n}")
-        s = self.transform.matrix()
+        s = sine_matrix(self.grid.n)
         d = self.weights ** exponent
         w2 = np.kron(s, s)
         return (w2 * d) @ w2

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dst import axis_eigenvalues
-from .grid import KIND_CONSTANT, StencilOperator, blocks
+from .grid import KIND_CONSTANT, StencilOperator, blocks, stacked_halves
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,11 @@ class SaddleOperator:
     def size(self) -> int:
         return 2 * self.m
 
-    def _check(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.size,):
-            raise ValueError(f"expected vector of length {self.size}, got shape {v.shape}")
-        return v
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A v, the alpha and beta terms added to each row block of the
         stencil's output while it is in cache."""
-        v = self._check(v)
         n = self.k_op.grid.n
-        swapped = v.reshape(2, n, n)[::-1]  # (v2; v1)
+        swapped = stacked_halves(v, self.m).reshape(2, n, n)[::-1]  # (v2; v1)
         out = np.empty(swapped.shape)
         # (K v2 + alpha v2 + beta v1; K v1 + alpha v1 - beta v2)
         for rows in self.k_op.apply_in_blocks(swapped, out, extra=2):
@@ -91,9 +84,8 @@ class SaddleOperator:
         if self.k_op.kind != KIND_CONSTANT:
             raise ValueError("the sine transform diagonalizes only the "
                              f"constant-coefficient stencil, not {self.k_op.kind!r}")
-        v = self._check(v)
         n = self.k_op.grid.n
-        swapped = v.reshape(2, n, n)[::-1]  # (v2; v1)
+        swapped = stacked_halves(v, self.m).reshape(2, n, n)[::-1]  # (v2; v1)
         lam1 = axis_eigenvalues(self.k_op.grid)
         out = np.empty(swapped.shape)
         for rows in blocks(n, 8 * n * 2 * 3):  # rows of three (2, n, n) stacks

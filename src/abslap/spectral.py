@@ -1,6 +1,6 @@
 """Spectral theory checks for the absolute-value preconditioned block system.
 
-Three pieces of machinery live here:
+Four pieces of machinery live here:
 
 * abs_block_2x2: the constructive eigendecomposition of a two-by-two block
   matrix [[theta I, A*], [A, -theta I]] from the SVD of A.  Its absolute
@@ -11,6 +11,12 @@ Three pieces of machinery live here:
   averaged-preconditioner system, branching on the sign of the real shift.
   For alpha < 0 the bounds are certified only under sign conditions that
   are all checked before the branch is declared valid.
+
+* iteration_bound: the a-priori MINRES iteration count the certified
+  interval proves, the bound column of bench rows.  It and verify_spectrum
+  read one helper, _certified_bounds, which owns the interval and whether
+  it proves anything: an exact coefficient (a_min equal to a_max) always
+  does, a variable one only off the violated branch.
 
 * verify_spectrum / verify_sandwich: dense desk-scale verification that
   the preconditioned block spectrum, +- the singular values of a complex
@@ -35,6 +41,7 @@ import numpy as np
 from .dst import sine_matrix
 from .grid import (CoefficientField, GridSpec, StencilOperator, assemble_laplacian_2d_constant,
                    assemble_laplacian_2d_variable, smallest_laplacian_eigenvalue)
+from .minres import bound_iterations
 from .precond import build_averaged
 from .saddle import Shift
 
@@ -187,6 +194,37 @@ def compute_bounds(coefficient: CoefficientField, c0: float, shift: Shift) -> Bo
     return BoundSet(branch, gamma, mu0, mu0_tilde, mu1_tilde, theta1, theta2)
 
 
+def _certified_bounds(grid: GridSpec, coefficient: CoefficientField, shift: Shift):
+    """(BoundSet, exact, certified) for one grid, coefficient and shift.
+
+    exact: the coefficient's bounds coincide, so the averaged preconditioner
+    is the exact block absolute value and the spectrum is +-1.  certified:
+    the interval proves something, that is the coefficient is exact or the
+    sign conditions of compute_bounds' branch hold.  verify_spectrum and
+    iteration_bound both read this, and nothing else decides either flag.
+    """
+    bounds = compute_bounds(coefficient, smallest_laplacian_eigenvalue(grid), shift)
+    exact = coefficient.a_min == coefficient.a_max
+    return bounds, exact, exact or bounds.branch != BRANCH_VIOLATED
+
+
+def iteration_bound(grid: GridSpec, coefficient: CoefficientField, shift: Shift,
+                    tol: float) -> int | None:
+    """A-priori MINRES iteration bound for the averaged preconditioner.
+
+    2 for an exact coefficient, whose spectrum is +-1; otherwise
+    bound_iterations on the certified interval; None when the interval
+    proves nothing.
+    """
+    bounds, exact, certified = _certified_bounds(grid, coefficient, shift)
+    if exact:
+        return bound_iterations(1.0, 1.0, 1.0, 1.0, tol)
+    if not certified:
+        return None
+    inner, outer = bounds.interval
+    return bound_iterations(outer, inner, inner, outer, tol)
+
+
 def _swap_blocks(n: int, swap_symmetric: bool):
     """Bases of the n-by-n arrays in which a matrix is block diagonal: one
     (i, j, sign, c) per block, basis vector r built on the pair (i_r, j_r).
@@ -303,10 +341,11 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     back slightly negative, so it is clipped at 0 before the square root,
     which would otherwise return NaN.
 
-    With a_min == a_max P is the exact block absolute value (spectrum +-1),
-    so the sqrt(2 a_max / a_min) interval certifies every shift.  A variable
-    coefficient failing the negative-shift sign conditions is still measured,
-    but its interval proves nothing and the certificate is marked uncertified.
+    For an exact coefficient (a_min equal to a_max) P is the exact block
+    absolute value (spectrum +-1), so the sqrt(2 a_max / a_min) interval
+    (1/mu0, mu0) certifies every shift.  A variable coefficient failing the
+    negative-shift sign conditions is still measured, but its interval
+    proves nothing and the certificate is marked uncertified.
     """
     if grid.n > VERIFY_CAP_2D:
         raise ValueError(f"dense verification capped at n={VERIFY_CAP_2D}, got {grid.n}")
@@ -333,14 +372,8 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     sigma = np.sort(np.concatenate(sigma))
     eigenvalues = np.concatenate([-sigma[::-1], sigma])
 
-    c0 = smallest_laplacian_eigenvalue(grid)
-    bounds = compute_bounds(coefficient, c0, shift)
-    exact = coefficient.a_min == coefficient.a_max
-    if exact:
-        inner, outer = 1.0 / bounds.mu0, bounds.mu0
-    else:
-        inner, outer = bounds.interval
-    certified = exact or bounds.branch != BRANCH_VIOLATED
+    bounds, exact, certified = _certified_bounds(grid, coefficient, shift)
+    inner, outer = (1.0 / bounds.mu0, bounds.mu0) if exact else bounds.interval
     magnitudes = np.abs(eigenvalues)
     violations = np.maximum(np.maximum(inner - magnitudes, magnitudes - outer), 0.0)
     return SpectrumCertificate(

@@ -212,6 +212,21 @@ def test_coefficient_name_mapping():
             coefficient_from_spec(unknown)
 
 
+def test_experiment_spec_defaults_follow_the_coefficient():
+    spec = ExperimentSpec()
+    assert (spec.coefficient, spec.shifts, spec.preconditioner) == \
+        ("constant_one", DEFAULT_CONSTANT_SHIFTS, "ideal")
+    assert spec == ExperimentSpec(shifts=DEFAULT_CONSTANT_SHIFTS, preconditioner="ideal")
+    variable = ExperimentSpec(coefficient="example2_poly")
+    assert (variable.shifts, variable.preconditioner) == (DEFAULT_VARIABLE_SHIFTS, "averaged")
+    # each field resolves on its own; a given value is kept
+    assert ExperimentSpec(coefficient="example2_poly",
+                          preconditioner="none").shifts == DEFAULT_VARIABLE_SHIFTS
+    assert ExperimentSpec(coefficient="example2_poly",
+                          shifts=((1.0, 2.0),)).preconditioner == "averaged"
+    assert ExperimentSpec(preconditioner="averaged").shifts == DEFAULT_CONSTANT_SHIFTS
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(preconditioner="ideal", coefficient="example2_poly")

@@ -266,6 +266,19 @@ def test_out_in_a_missing_directory_is_a_usage_error(capsys, monkeypatch, tmp_pa
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "bench", "verify"])
+def test_out_naming_a_directory_is_a_usage_error(capsys, monkeypatch, tmp_path, command):
+    # refused before any row runs, not with IsADirectoryError once the sweep is done
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the --out check")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    monkeypatch.setattr(cli, "verify_spectrum", no_run)
+    err = _usage_error_text(capsys, [command, "--n", "7", "--out", str(tmp_path)])
+    assert "is a directory" in err and str(tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Whole reports of fixed sweeps, recorded from the command line.  A change
 # that should leave the output alone must leave these strings alone; the
 # bench rows carry their wall_time column blanked.

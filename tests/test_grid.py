@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abslap import grid as grid_module
-from abslap.dst import SineTransform, axis_eigenvalues, laplacian_eigenvalues
+from abslap.dst import axis_eigenvalues, laplacian_eigenvalues, sine_matrix
 from abslap.grid import (
     KIND_CONSTANT,
     KIND_VARIABLE,
@@ -195,7 +195,7 @@ def test_transform_diagonalizes_constant_operator():
     for n in (3, 7, 15):
         grid = GridSpec(n, 2)
         dense = assemble_laplacian_2d_constant(grid).dense()
-        s1 = SineTransform(n).matrix()
+        s1 = sine_matrix(n)
         w = np.kron(s1, s1)
         diag = w @ dense @ w
         lam = laplacian_eigenvalues(grid)

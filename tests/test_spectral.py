@@ -35,6 +35,7 @@ from abslap.spectral import (
     block_matrix,
     certificate_payload,
     compute_bounds,
+    iteration_bound,
     verify_sandwich,
     verify_spectrum,
 )
@@ -353,6 +354,38 @@ def test_iteration_bound_covers_observed_counts():
         bound = bound_iterations(outer, inner, inner, outer, spec.tol)
         assert row.iterations <= bound
         assert row.bound_iterations == bound
+
+
+@pytest.mark.parametrize("coefficient_name", ["constant_one", "example2_poly"])
+def test_iteration_bound_is_the_rows_bound(coefficient_name):
+    """A bench row's bound is iteration_bound's, over each coefficient's
+    default shifts and preconditioner."""
+    from abslap.bench import ExperimentSpec, coefficient_from_spec, run_experiment
+
+    spec = ExperimentSpec(grid_sizes=(7, 15, 63), coefficient=coefficient_name)
+    coefficient = coefficient_from_spec(coefficient_name)
+    rows = run_experiment(spec)
+    assert len(rows) == 3 * 6
+    for row in rows:
+        assert row.error is None
+        bound = iteration_bound(GridSpec(row.n, 2), coefficient, Shift(row.alpha, row.beta),
+                                spec.tol)
+        assert bound is not None and row.bound_iterations == bound
+        assert row.iterations <= bound
+    if coefficient_name == "constant_one":
+        assert {row.bound_iterations for row in rows} == {2}
+
+
+def test_iteration_bound_proves_nothing_off_the_sign_conditions():
+    poly = separable_quadratic_coefficient()
+    shift = Shift(-9000.0, 10.0)
+    for n in (7, 15, 63):
+        grid = GridSpec(n, 2)
+        assert compute_bounds(poly, smallest_laplacian_eigenvalue(grid), shift).branch \
+            == BRANCH_VIOLATED
+        assert iteration_bound(grid, poly, shift, 1e-8) is None
+    # an exact coefficient proves +-1 on every branch: two iterations
+    assert iteration_bound(GridSpec(7, 2), constant_coefficient(3.0), shift, 1e-8) == 2
 
 
 def test_certificate_payload_schema():
