@@ -128,6 +128,11 @@ class ExperimentSpec:
             if len(pair) != 2:
                 raise ValueError(f"shifts must be (alpha, beta) pairs, got {pair!r}")
             Shift(*pair)
+        # a report keys its rows by (n, alpha, beta), so a repeat would hide a row
+        if len(set(self.grid_sizes)) != len(self.grid_sizes):
+            raise ValueError(f"grid sizes must not repeat, got {self.grid_sizes!r}")
+        if len(set(map(tuple, self.shifts))) != len(self.shifts):
+            raise ValueError(f"shifts must not repeat, got {self.shifts!r}")
 
 
 @dataclass
@@ -257,9 +262,8 @@ def all_clear(rows: list[ReportRow]) -> bool:
 
 
 def _row_payload(row: ReportRow) -> dict:
-    """The row's fields in order, less `converged`, and `error` only when set."""
-    return {k: v for k, v in vars(row).items()
-            if k != "converged" and not (k == "error" and v is None)}
+    """The row's fields in order, `error` only when set."""
+    return {k: v for k, v in vars(row).items() if not (k == "error" and v is None)}
 
 
 def strict_json(payload) -> str:

@@ -7,6 +7,12 @@ so eigenvalues approach those of -div(a grad .) as the grid is refined.
 Variable coefficients are sampled at edge midpoints, which keeps the
 assembled operator symmetric and preserves the a_min * L <= K <= a_max * L
 ordering against the constant-coefficient Laplacian L.
+
+StencilOperator owns every matrix form of K, and no other module reads its
+edge arrays: apply() is matrix-free, block() is the one scatter of K onto a
+basis of grid arrays from swap_blocks, dense() is block() on the plain
+basis, and swap_symmetric says whether K commutes with the axis swap, so
+that the two swap bases split it in two.
 """
 
 from __future__ import annotations
@@ -173,7 +179,7 @@ class StencilOperator:
         return (self.grid.n + 1.0) ** 2  # 1/h^2
 
     @property
-    def edges(self):
+    def _edge_arrays(self):
         """Unscaled (ax, ay, diag): the edge coefficients, ax of shape (n+1, n)
         between (i-1, j) and (i, j) and ay of shape (n, n+1) between (i, j-1)
         and (i, j), and the row diagonal, the sum of a point's four edges.
@@ -225,26 +231,77 @@ class StencilOperator:
             o *= scale
             yield rows
 
+    @property
+    def swap_symmetric(self) -> bool:
+        """Whether K = Pi K Pi for the axis swap Pi, (ij) -> (ji), tested exactly on
+        the stencil's edges.  Pi maps K's off-diagonal entries, the interior edges
+        ax[1:-1], onto ay[:, 1:-1]^T, and its diagonal onto the diagonal's
+        transpose.  The constant stencil always passes."""
+        ax, ay, diag = self._edge_arrays
+        return np.array_equal(ax[1:-1], ay[:, 1:-1].T) and np.array_equal(diag, diag.T)
+
+    def block(self, i, j, sign: float, c) -> np.ndarray:
+        """K_b on one basis of swap_blocks, scattered from the stencil's edges.
+
+        Basis vector r sits on the pair (i_r, j_r), and pos[p, q] = pos[q, p] is
+        the basis vector on {p, q}; the plain basis writes pos[q, p] first and
+        pos[p, q] last, so each of its arrays keeps its own.  Row r's five
+        stencil entries K[i_r j_r, pq] go to K_b[r, pos[p, q]] times c_r c_r'
+        and a factor: 1 when (p, q) is that basis vector's own pair, the block's
+        sign when it is the swapped pair, and 1 + sign when p == q, both at once.
+        A point of the antisymmetric block's diagonal has no basis vector; its
+        factor 1 + sign is 0.  No m-by-m matrix is formed unless the basis has
+        m vectors, as the plain one does.
+        """
+        n = self.grid.n
+        ax, ay, diag = self._edge_arrays
+        size = i.size
+        r = np.arange(size)
+        pos = np.full((n, n), -1)
+        pos[j, i] = r
+        pos[i, j] = r
+        # (row, p, q, value) of the diagonal and of the four neighbours inside the grid
+        entries = [(r, i, j, diag[i, j])]
+        for p, q, edge in ((i + 1, j, ax[i + 1, j]), (i - 1, j, ax[i, j]),
+                           (i, j + 1, ay[i, j + 1]), (i, j - 1, ay[i, j])):
+            inside = (p >= 0) & (p < n) & (q >= 0) & (q < n)
+            entries.append((r[inside], p[inside], q[inside], -edge[inside]))
+        rows, p, q, value = (np.concatenate(parts) for parts in zip(*entries))
+        cols = pos[p, q]
+        kept = cols >= 0
+        rows, p, cols, value = rows[kept], p[kept], cols[kept], value[kept]
+        factor = (i[cols] == p) + sign * (j[cols] == p)
+        k = np.zeros((size, size))
+        np.add.at(k, (rows, cols), factor * value * (c[rows] * c[cols] * self.scale))
+        return k
+
     def dense(self) -> np.ndarray:
-        """Materialize the full m-by-m matrix.  Guarded by the dense cap."""
-        g = self.grid
-        if g.n > DENSE_CAP_2D:
-            raise ValueError(f"dense operator capped at n={DENSE_CAP_2D}, got {g.n}")
-        n, m = g.n, g.m
-        ax, ay, diag = self.edges
-        a = np.zeros((m, m))
-        idx = np.arange(m).reshape(n, n)
-        a[idx, idx] = diag
-        rows = idx[:-1, :].ravel()
-        cols = idx[1:, :].ravel()
-        a[rows, cols] = -ax[1:-1, :].ravel()
-        a[cols, rows] = -ax[1:-1, :].ravel()
-        rows = idx[:, :-1].ravel()
-        cols = idx[:, 1:].ravel()
-        a[rows, cols] = -ay[:, 1:-1].ravel()
-        a[cols, rows] = -ay[:, 1:-1].ravel()
-        a *= self.scale
-        return a
+        """Materialize the full m-by-m matrix, block() on the plain basis.
+        Guarded by the dense cap."""
+        n = self.grid.n
+        if n > DENSE_CAP_2D:
+            raise ValueError(f"dense operator capped at n={DENSE_CAP_2D}, got {n}")
+        (plain,) = swap_blocks(n, False)
+        return self.block(*plain)
+
+
+def swap_blocks(n: int, swap_symmetric: bool):
+    """Bases of the n-by-n arrays in which a matrix is block diagonal: one
+    (i, j, sign, c) per block, basis vector r built on the pair (i_r, j_r).
+
+    For a matrix that commutes with the axis swap these are the symmetric
+    arrays, (e_ij + e_ji) / sqrt(2) for i < j and e_ii, sign +1, and the
+    antisymmetric ones, (e_ij - e_ji) / sqrt(2) for i < j, sign -1.  The
+    gather weight c is 1 off the diagonal and 1/sqrt(2) on it.  Otherwise
+    there is one block, the plain basis e_ij, with sign 0 and c = 1.
+    """
+    if not swap_symmetric:
+        i, j = np.divmod(np.arange(n * n), n)
+        return [(i, j, 0.0, np.ones(n * n))]
+    i, j = np.triu_indices(n)
+    off = i < j
+    return [(i, j, 1.0, np.where(off, 1.0, math.sqrt(0.5))),
+            (i[off], j[off], -1.0, np.ones(int(off.sum())))]
 
 
 def assemble_laplacian_2d_constant(grid: GridSpec) -> StencilOperator:

@@ -23,12 +23,13 @@ Four pieces of machinery live here:
   m-by-m matrix taken in two half-size blocks, falls inside the certified
   intervals, and a randomized check of the norm-equivalence sandwich
   sqrt(2)/2 <= z*sqrt(H1^2+H2^2)z / z*(H1+H2)z <= 1 for commuting PSD pairs.
-  Each block B is gathered from the stencil's edges and the 1D sine matrix,
-  and its singular values are the square roots of the eigenvalues of the
-  Hermitian B*B, one eigensolve per block.  Squaring puts an error of about
-  eps sigma_max^2 / sigma_k on sigma_k, far below SPECTRUM_SLACK while
-  sigma_min >~ 1e-7 sigma_max; an eigenvalue that rounding takes below 0 is
-  clipped there, so no sigma is NaN.
+  Each block B takes its K_b from the stencil's own scatter,
+  StencilOperator.block, and its W_b from the 1D sine matrix; this module
+  reads none of the stencil's arrays.  B's singular values are the square
+  roots of the eigenvalues of the Hermitian B*B, one eigensolve per block.
+  Squaring puts an error of about eps sigma_max^2 / sigma_k on sigma_k, far
+  below SPECTRUM_SLACK while sigma_min >~ 1e-7 sigma_max; an eigenvalue
+  that rounding takes below 0 is clipped there, so no sigma is NaN.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .dst import sine_matrix
 from .grid import (CoefficientField, GridSpec, StencilOperator, assemble_laplacian_2d_constant,
-                   assemble_laplacian_2d_variable, smallest_laplacian_eigenvalue)
+                   assemble_laplacian_2d_variable, smallest_laplacian_eigenvalue, swap_blocks)
 from .minres import bound_iterations
 from .precond import build_averaged
 from .saddle import Shift
@@ -111,11 +112,12 @@ def block_matrix(theta: float, a_n: np.ndarray) -> np.ndarray:
 def abs_block_2x2(theta: float, a_n: np.ndarray):
     """Eigendecomposition of M = [[theta I, A*], [A, -theta I]] from the SVD of A.
 
-    Returns (q, eigenvalues, abs_m) with M = q diag(eigenvalues) q* and
-    abs_m = |M| = q diag(|eigenvalues|) q*.  With A = U Sigma V* the
-    eigenvalues are +-sqrt(sigma^2 + theta^2) and eigenvectors combine the
-    singular vector pairs; a zero denominator (sigma = 0 with matching sign
-    of theta) falls back to the axis eigenvector of the then-diagonal mode.
+    Returns (q, eigenvalues, abs_m) with M = q Lambda q* and
+    abs_m = |M| = q |Lambda| q*, Lambda the diagonal matrix of the
+    eigenvalues.  With A = U Sigma V* the eigenvalues are
+    +-sqrt(sigma^2 + theta^2) and eigenvectors combine the singular vector
+    pairs; a zero denominator (sigma = 0 with matching sign of theta) falls
+    back to the axis eigenvector of the then-diagonal mode.
     """
     a = np.atleast_2d(np.asarray(a_n))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -225,77 +227,14 @@ def iteration_bound(grid: GridSpec, coefficient: CoefficientField, shift: Shift,
     return bound_iterations(outer, inner, inner, outer, tol)
 
 
-def _swap_blocks(n: int, swap_symmetric: bool):
-    """Bases of the n-by-n arrays in which a matrix is block diagonal: one
-    (i, j, sign, c) per block, basis vector r built on the pair (i_r, j_r).
-
-    For a matrix that commutes with the axis swap these are the symmetric
-    arrays, (e_ij + e_ji) / sqrt(2) for i < j and e_ii, sign +1, and the
-    antisymmetric ones, (e_ij - e_ji) / sqrt(2) for i < j, sign -1.  The
-    gather weight c is 1 off the diagonal and 1/sqrt(2) on it.  Otherwise
-    there is one block, the plain basis e_ij, with sign 0 and c = 1.
-    """
-    if not swap_symmetric:
-        i, j = np.divmod(np.arange(n * n), n)
-        return [(i, j, 0.0, np.ones(n * n))]
-    i, j = np.triu_indices(n)
-    off = i < j
-    return [(i, j, 1.0, np.where(off, 1.0, math.sqrt(0.5))),
-            (i[off], j[off], -1.0, np.ones(int(off.sum())))]
-
-
-def _swap_symmetric(k_op: StencilOperator) -> bool:
-    """Whether K = Pi K Pi for the axis swap Pi, (ij) -> (ji), tested exactly on
-    the stencil's edges.  Pi maps K's off-diagonal entries, the interior edges
-    ax[1:-1], onto ay[:, 1:-1]^T, and its diagonal onto the diagonal's
-    transpose.  The constant stencil always passes."""
-    ax, ay, diag = k_op.edges
-    return np.array_equal(ax[1:-1], ay[:, 1:-1].T) and np.array_equal(diag, diag.T)
-
-
-def _k_block(k_op: StencilOperator, i, j, sign: float, c) -> np.ndarray:
-    """K_b on one basis of _swap_blocks, scattered from the stencil's edges.
-
-    Basis vector r sits on the pair (i_r, j_r), and pos[p, q] = pos[q, p] is
-    the basis vector on {p, q}; the plain basis writes pos[q, p] first and
-    pos[p, q] last, so each of its arrays keeps its own.  Row r's five
-    stencil entries K[i_r j_r, pq] go to K_b[r, pos[p, q]] times c_r c_r'
-    and a factor: 1 when (p, q) is that basis vector's own pair, the block's
-    sign when it is the swapped pair, and 1 + sign when p == q, both at once.
-    A point of the antisymmetric block's diagonal has no basis vector; its
-    factor 1 + sign is 0.  No m-by-m matrix is formed.
-    """
-    n = k_op.grid.n
-    ax, ay, diag = k_op.edges
-    size = i.size
-    r = np.arange(size)
-    pos = np.full((n, n), -1)
-    pos[j, i] = r
-    pos[i, j] = r
-    # (row, p, q, value) of the diagonal and of the four neighbours inside the grid
-    entries = [(r, i, j, diag[i, j])]
-    for p, q, edge in ((i + 1, j, ax[i + 1, j]), (i - 1, j, ax[i, j]),
-                       (i, j + 1, ay[i, j + 1]), (i, j - 1, ay[i, j])):
-        inside = (p >= 0) & (p < n) & (q >= 0) & (q < n)
-        entries.append((r[inside], p[inside], q[inside], -edge[inside]))
-    rows, p, q, value = (np.concatenate(parts) for parts in zip(*entries))
-    cols = pos[p, q]
-    kept = cols >= 0
-    rows, p, cols, value = rows[kept], p[kept], cols[kept], value[kept]
-    factor = (i[cols] == p) + sign * (j[cols] == p)
-    k = np.zeros((size, size))
-    np.add.at(k, (rows, cols), factor * value * (c[rows] * c[cols] * k_op.scale))
-    return k
-
-
 def _wkw_block(k_op: StencilOperator, s: np.ndarray, i, j, sign: float, c) -> np.ndarray:
-    """W_b K_b W_b on one basis of _swap_blocks: K_b from the stencil's edges,
+    """W_b K_b W_b on one basis of swap_blocks: K_b scattered by k_op.block,
     W_b from products of S's entries (W[ij, kl] = S[i, k] S[j, l])."""
     w = s[np.ix_(i, i)] * s[np.ix_(j, j)]
     if sign:
         w += sign * (s[np.ix_(i, j)] * s[np.ix_(j, i)])
     w *= np.outer(c, c)
-    return w @ _k_block(k_op, i, j, sign, c) @ w
+    return w @ k_op.block(i, j, sign, c) @ w
 
 
 def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift) -> SpectrumCertificate:
@@ -313,19 +252,19 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
 
     Let Pi swap the grid's two axes, (ij) -> (ji).  W[ij, kl] = S[i, k] S[j, l]
     and D[ij], a function of lam_i + lam_j, are unchanged by it, and so is
-    lambda I; K is when its interior edges and its diagonal are, which
-    _swap_symmetric tests exactly.
+    lambda I; K is when the stencil's swap_symmetric holds, an exact test
+    that grid makes on the stencil's own arrays.
     Then M_hat commutes with Pi and maps the symmetric and the antisymmetric
     arrays into themselves.  With U the real orthogonal matrix of both
-    orthonormal bases of _swap_blocks, U^T M_hat U = blockdiag(B_s, B_a), of
+    orthonormal bases of grid.swap_blocks, U^T M_hat U = blockdiag(B_s, B_a), of
     orders n(n+1)/2 and n(n-1)/2.  Each factor commutes with Pi, so
     B = D_b^(-1/2) (W_b K_b W_b + lambda I) D_b^(-1/2), each factor X_b
     gathered from X: as X = Pi X Pi, X_b[ij, kl] = c c' (X[ij, kl] +- X[ij, lk]).
-    K_b is scattered from the stencil's edges by _k_block and W_b from S, so
-    neither K, M_hat nor W is formed.  Singular values are unchanged by the
-    unitary change of basis, so sigma is the union of the blocks' singular
-    values.  A K that fails the test has one block, M_hat itself, in the
-    plain basis.
+    K_b is scattered by k_op.block, the stencil's one scatter of K, and W_b
+    is gathered from S, so neither K, M_hat nor W is formed.  Singular values
+    are unchanged by the unitary change of basis, so sigma is the union of
+    the blocks' singular values.  A K that fails the test has one block,
+    M_hat itself, in the plain basis.
 
     Each block's sigma comes from one Hermitian eigensolve in place of an
     SVD.  With d_b = D_b^(-1/2), B = G + iE for the real symmetric
@@ -358,7 +297,7 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     scale = build_averaged(grid, coefficient, shift).weights ** -0.5
     s = sine_matrix(n)
     sigma = []
-    for i, j, sign, c in _swap_blocks(n, _swap_symmetric(k_op)):
+    for i, j, sign, c in swap_blocks(n, k_op.swap_symmetric):
         g = _wkw_block(k_op, s, i, j, sign, c)
         g.flat[::i.size + 1] += shift.alpha
         d = scale[i * n + j]

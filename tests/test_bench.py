@@ -246,6 +246,15 @@ def test_experiment_spec_validation():
     for tol, max_iter in ((0.0, 10), (1.0, 10), (2.0, 10), (1e-8, 0), (1e-8, -1)):
         with pytest.raises(ValueError):
             ExperimentSpec(tol=tol, max_iter=max_iter)
+    # the text table keys rows by (n, alpha, beta), so a repeated grid size,
+    # or a shift repeated by value, would show two rows as one
+    with pytest.raises(ValueError, match="grid sizes must not repeat"):
+        ExperimentSpec(grid_sizes=(7, 15, 7))
+    for shifts in (((100.0, 100.0), (100, 100)), ((0.0, 1.0), (-0.0, 1.0))):
+        with pytest.raises(ValueError, match="shifts must not repeat"):
+            ExperimentSpec(shifts=shifts)
+    # the same alpha or the same beta in two different shifts is fine
+    ExperimentSpec(grid_sizes=(7, 15), shifts=((100.0, 100.0), (100.0, -100.0)))
 
 
 def test_constant_sweep_takes_two_iterations():
@@ -337,8 +346,21 @@ def test_emit_json_round_trips():
     payload = json.loads(emit_report(rows, "json"))
     assert isinstance(payload, list) and len(payload) == 1
     assert set(payload[0]) == {"n", "dof", "alpha", "beta", "iterations", "wall_time",
-                               "true_residual", "bound_iterations", "spectrum_verdict"}
+                               "true_residual", "bound_iterations", "spectrum_verdict",
+                               "converged"}
     assert payload[0]["iterations"] == 2
+    assert payload[0]["converged"] is True
+
+
+def test_emit_json_flags_a_row_that_did_not_converge():
+    # two unpreconditioned steps leave a residual of about 0.23 and raise no
+    # error, so only `converged` tells the row from a success
+    spec = ExperimentSpec(grid_sizes=(3,), shifts=((100.0, 1.0),), preconditioner="none",
+                          max_iter=2)
+    rows = run_experiment(spec)
+    payload = json.loads(emit_report(rows, "json"))
+    assert payload[0]["converged"] is False and "error" not in payload[0]
+    assert payload[0]["true_residual"] > 0.1
 
 
 def test_emit_csv_schema():

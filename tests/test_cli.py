@@ -132,7 +132,9 @@ def test_verify_above_cap_is_a_usage_error(capsys, monkeypatch):
     (["solve", "--n", "7", "--tol", "2"], "tol must lie in (0, 1)"),
     (["bench", "--n", "7", "--tol", "0"], "tol must lie in (0, 1)"),
     (["bench", "--n", "7", "--max-iter", "0"], "max_iter must be positive"),
-], ids=["ideal-example2", "tol-2", "tol-0", "max-iter-0"])
+    (["bench", "--n", "7,7"], "grid sizes must not repeat"),
+    (["bench", "--n", "7", "--alpha", "100,100", "--beta", "100,100"], "shifts must not repeat"),
+], ids=["ideal-example2", "tol-2", "tol-0", "max-iter-0", "repeated-n", "repeated-shift"])
 def test_invalid_spec_is_a_usage_error(capsys, argv, message):
     # refused before any row runs: exit 2 and a usage message, no traceback
     with pytest.raises(SystemExit) as err:

@@ -1,5 +1,6 @@
 """Constructive block eigendecomposition, interval bounds, and certificates."""
 
+import hashlib
 import json
 import math
 
@@ -17,6 +18,7 @@ from abslap.grid import (
     constant_coefficient,
     separable_quadratic_coefficient,
     smallest_laplacian_eigenvalue,
+    swap_blocks,
 )
 from abslap.minres import bound_iterations
 from abslap.oracle import averaged_preconditioner_dense, saddle_block_dense
@@ -28,9 +30,6 @@ from abslap.spectral import (
     BRANCH_VIOLATED,
     SPECTRUM_SLACK,
     SpectrumCertificate,
-    _k_block,
-    _swap_blocks,
-    _swap_symmetric,
     abs_block_2x2,
     block_matrix,
     certificate_payload,
@@ -248,23 +247,69 @@ COEFFICIENT_IDS = ("const", "example2", "asymmetric")
 @pytest.mark.parametrize("n", (1, 2, 3, 7, 15))
 @pytest.mark.parametrize("coefficient", COEFFICIENTS, ids=COEFFICIENT_IDS)
 def test_edge_gathered_blocks_match_the_dense_gather(n, coefficient):
-    """Each K_b scattered from the stencil's edges equals
-    c c' (K[rows, rows] + sign K[rows, swapped]) gathered from the dense K, in
-    the swap bases and in the plain one, and the edge test for K = Pi K Pi
-    agrees with the dense one."""
+    """Each K_b that StencilOperator.block scatters on a swap basis equals
+    c c' (K[rows, rows] + sign K[rows, swapped]) gathered from the dense K,
+    and the stencil's swap_symmetric agrees with the dense test for
+    K = Pi K Pi.  dense() is block() on the plain basis, so the plain basis
+    is pinned by the hashes below instead."""
     grid = GridSpec(n, 2)
     k_op = _k_op(grid, coefficient)
     k_dense = k_op.dense()
     swap = np.arange(grid.m).reshape(n, n).T.ravel()
-    assert _swap_symmetric(k_op) == np.array_equal(k_dense, k_dense[np.ix_(swap, swap)])
-    for split in (True, False):
-        for i, j, sign, c in _swap_blocks(n, split):
-            rows, swapped = i * n + j, j * n + i
-            expected = np.outer(c, c) * (k_dense[np.ix_(rows, rows)]
-                                         + sign * k_dense[np.ix_(rows, swapped)])
-            got = _k_block(k_op, i, j, sign, c)
-            assert np.abs(got - expected).max(initial=0.0) <= 1e-14 * np.abs(expected).max(initial=0.0), \
-                (split, sign)
+    assert k_op.swap_symmetric == np.array_equal(k_dense, k_dense[np.ix_(swap, swap)])
+    for i, j, sign, c in swap_blocks(n, True):
+        rows, swapped = i * n + j, j * n + i
+        expected = np.outer(c, c) * (k_dense[np.ix_(rows, rows)]
+                                     + sign * k_dense[np.ix_(rows, swapped)])
+        got = k_op.block(i, j, sign, c)
+        assert np.abs(got - expected).max(initial=0.0) <= 1e-14 * np.abs(expected).max(initial=0.0), sign
+
+
+def _sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+# sha256 of the float64 bytes of K's matrix forms, taken from the separate
+# index-shift scatter dense() had before it became block() on the plain
+# basis.  Every entry is an elementwise product or sum, so the bits do not
+# depend on the machine or its BLAS.
+DENSE_SHA256 = {
+    ("const", 1): "fc57e20e0f4b24af2c72cdd8d1652a641c478704bfcbb087e8096dac9091af68",
+    ("const", 2): "a766e8fa3e302cba7c85eb632ccc4c1b6a26e2b209ff45cafb59792614a03a61",
+    ("const", 7): "33f8256f4dd96d11845bbb97306c08c023da881749043bbdb3addf2f20272476",
+    ("const", 31): "24e5fce938a55970aa7ae2f64d56a11b29f8c11b78de71ec87f0716206b2f3b6",
+    ("example2", 1): "3b34a120c939478e4f60263d23cc62eba1730666ee7cdbbff8444fab43824962",
+    ("example2", 2): "d35383e4d61bf2d6f99a54dabc572e534b908b534abe086b0bb55ab3235c28d1",
+    ("example2", 7): "cd61ae402981f769f144e1593aa6b897cb48537a76b042bac9bf1c25e53ae936",
+    ("example2", 31): "7c3205b936ea2d93fa53e458efc763779b14388f17e97e3491b246750c56185e",
+    ("asymmetric", 1): "e4ca49b45414f95d029f11e8fc1e066e1c8752932272d74e75b8ed4957744225",
+    ("asymmetric", 2): "62b900a77d29a30b13b242264eff9dbdd5eb0c58f7dbfbd4583240fabe1bc249",
+    ("asymmetric", 7): "269819774edff8f047d093342f4066f5f9fd98b3175bc8f3223c874bdefbd475",
+    ("asymmetric", 31): "62c4ebe9c0f84879a934cc6e834d5da12d29030dd5511e7ab3e335e6d88e7f92",
+}
+# K_b on the symmetric and the antisymmetric basis at n=7, from the
+# certificate's scatter as it was before it moved into grid
+SWAP_BLOCK_SHA256 = {
+    "const": ("459e7e19006dcbf89ce61139b39245ef358ca55070d87ab3316b8c9594a93f7a",
+              "dac14959691b135930ea0a66fec0232f17e4d81bfab2b9ea06656e7801ab913e"),
+    "example2": ("aa01c418beb9f3f402e856382ec50fea3c4da5b1898780bf5d1792dbc007a21e",
+                 "3ade07ef6040f27c554a43298999876925d216cf202d0a239d36d37a387dca2a"),
+}
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 31))
+@pytest.mark.parametrize("name, coefficient", tuple(zip(COEFFICIENT_IDS, COEFFICIENTS)),
+                         ids=COEFFICIENT_IDS)
+def test_dense_matrix_is_pinned_bit_for_bit(n, name, coefficient):
+    assert _sha256(_k_dense(GridSpec(n, 2), coefficient)) == DENSE_SHA256[name, n]
+
+
+@pytest.mark.parametrize("name, coefficient", tuple(zip(COEFFICIENT_IDS, COEFFICIENTS))[:2],
+                         ids=COEFFICIENT_IDS[:2])
+def test_swap_blocks_are_pinned_bit_for_bit(name, coefficient):
+    k_op = _k_op(GridSpec(7, 2), coefficient)
+    got = tuple(_sha256(k_op.block(i, j, sign, c)) for i, j, sign, c in swap_blocks(7, True))
+    assert got == SWAP_BLOCK_SHA256[name]
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 7, 15))
