@@ -8,11 +8,11 @@ variant), applied in O(M log M) through discrete sine transforms.
 
 from .bench import (ExperimentSpec, RandomStream, ReportRow, emit_report,
                     generate_rhs, run_experiment, solve_shifted)
-from .dst import SineTransform, laplacian_eigenvalues
+from .dst import SineTransform
 from .grid import (CoefficientField, GridSpec, StencilOperator,
                    assemble_laplacian_2d_constant, assemble_laplacian_2d_variable,
-                   constant_coefficient, separable_quadratic_coefficient,
-                   smallest_laplacian_eigenvalue)
+                   constant_coefficient, laplacian_eigenvalues,
+                   separable_quadratic_coefficient, smallest_laplacian_eigenvalue)
 from .minres import SolveReport, SolverConfig, bound_iterations, minres_solve
 from .precond import SpectralPreconditioner, build_averaged, build_ideal
 from .saddle import SaddleOperator, Shift, real_to_complex, saddle_rhs

@@ -4,7 +4,8 @@ Experiments reproduce the desk-scale iteration studies: pick grid sizes and
 complex shifts, manufacture an exact solution from a seeded Gaussian
 stream, build the right-hand side by one operator apply, solve with
 preconditioned MINRES, and certify the true residual plus (at small sizes)
-the dense spectrum containment.
+the dense spectrum containment.  certify runs the dense certificates alone
+over a spec's grid sizes and shifts, the sweep behind `abslap verify`.
 
 Randomness is a splitmix64 stream with Box-Muller normals, implemented
 here so runs are bit-reproducible regardless of numpy version:
@@ -34,26 +35,28 @@ from .grid import (KIND_CONSTANT, CoefficientField, GridSpec,
 from .minres import SolverConfig, minres_solve
 from .precond import build_averaged, build_ideal, sine_basis
 from .saddle import SaddleOperator, Shift, saddle_rhs
-from .spectral import VERIFY_CAP_2D, iteration_bound, verify_spectrum
+from .spectral import VERIFY_CAP_2D, certificate_payload, iteration_bound, verify_spectrum
 
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
-COEFFICIENT_NAMES = ("constant_one", "example2_poly")
-
 # Default shift sweeps for the two coefficient regimes.
 DEFAULT_CONSTANT_SHIFTS = ((100.0, 100.0), (-100.0, -100.0), (100.0, -100.0),
                            (-100.0, 100.0), (-100.0, 1.0), (1.0, -100.0))
 DEFAULT_VARIABLE_SHIFTS = ((-600.0, 150.0), (-100.0, -25.0), (100.0, -100.0),
                            (-100.0, 100.0), (-100.0, 1.0), (1.0, -100.0))
-# Each coefficient's default (shifts, preconditioner), which ExperimentSpec
-# takes for a field left at None.
-_COEFFICIENT_DEFAULTS = {"constant_one": (DEFAULT_CONSTANT_SHIFTS, "ideal"),
-                         "example2_poly": (DEFAULT_VARIABLE_SHIFTS, "averaged")}
+# Each built-in coefficient: (field factory, default shifts, default
+# preconditioner); ExperimentSpec takes the defaults for a field left at None.
+_COEFFICIENTS = {
+    "constant_one": (constant_coefficient, DEFAULT_CONSTANT_SHIFTS, "ideal"),
+    "example2_poly": (separable_quadratic_coefficient, DEFAULT_VARIABLE_SHIFTS, "averaged"),
+}
+COEFFICIENT_NAMES = tuple(_COEFFICIENTS)
 
 CSV_HEADER = "n,dof,alpha,beta,iterations,wall_time,true_residual,bound_iterations,spectrum_verdict"
+CERTIFICATE_HEADER = "n,alpha,beta,branch,certified,mu_inner,mu_outer,all_inside,max_violation"
 
 
 class RandomStream:
@@ -113,7 +116,7 @@ class ExperimentSpec:
         # each rule has one owner, which raises on a bad value
         SolverConfig(self.tol, self.max_iter)
         coefficient_from_spec(self.coefficient)
-        shifts, preconditioner = _COEFFICIENT_DEFAULTS[self.coefficient]
+        _, shifts, preconditioner = _COEFFICIENTS[self.coefficient]
         if self.shifts is None:
             object.__setattr__(self, "shifts", shifts)
         if self.preconditioner is None:
@@ -152,11 +155,10 @@ class ReportRow:
 
 def coefficient_from_spec(name: str) -> CoefficientField:
     """Map one of COEFFICIENT_NAMES to its field."""
-    if name == "constant_one":
-        return constant_coefficient(1.0)
-    if name == "example2_poly":
-        return separable_quadratic_coefficient()
-    raise ValueError(f"unknown coefficient {name!r}; expected one of {COEFFICIENT_NAMES}")
+    # a tuple compares by ==, so a name that cannot be hashed is refused too
+    if name not in COEFFICIENT_NAMES:
+        raise ValueError(f"unknown coefficient {name!r}; expected one of {COEFFICIENT_NAMES}")
+    return _COEFFICIENTS[name][0]()
 
 
 def generate_rhs(grid: GridSpec, k_op, shift: Shift, seed: int):
@@ -255,6 +257,17 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
             f"the tolerance {spec.tol:.1e} after reported convergence")
 
 
+def certify(spec: ExperimentSpec) -> list:
+    """(grid, shift, SpectrumCertificate) for each grid size and shift of the
+    sweep, in row order, from one verify_spectrum call each, looked up in this
+    module.  A shift the certificate cannot take, such as one whose
+    preconditioner weights overflow, raises its ValueError."""
+    coefficient = coefficient_from_spec(spec.coefficient)
+    shifts = [Shift(float(alpha), float(beta)) for alpha, beta in spec.shifts]
+    return [(grid, shift, verify_spectrum(grid, coefficient, shift))
+            for grid in map(GridSpec, spec.grid_sizes) for shift in shifts]
+
+
 def all_clear(rows: list[ReportRow]) -> bool:
     """True when every row converged and no requested verification failed."""
     return all(r.converged and r.error is None and r.spectrum_verdict != "fail"
@@ -282,21 +295,40 @@ def emit_report(rows: list[ReportRow], format: str = "text_table") -> str:
     if format == "json":
         return strict_json([_row_payload(r) for r in rows])
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for r in rows:
-            writer.writerow([
-                r.n, r.dof, f"{r.alpha:g}", f"{r.beta:g}", r.iterations,
-                f"{r.wall_time:.6g}",
-                f"{r.true_residual:.6e}" if math.isfinite(r.true_residual) else "inf",
-                "n/a" if r.bound_iterations is None else r.bound_iterations,
-                r.spectrum_verdict,
-            ])
-        return buf.getvalue()
+        return _delimited(CSV_HEADER, ([
+            r.n, r.dof, f"{r.alpha:g}", f"{r.beta:g}", r.iterations,
+            f"{r.wall_time:.6g}",
+            f"{r.true_residual:.6e}" if math.isfinite(r.true_residual) else "inf",
+            "n/a" if r.bound_iterations is None else r.bound_iterations,
+            r.spectrum_verdict,
+        ] for r in rows))
     if format == "text_table":
         return _text_table(rows)
     raise ValueError(f"unknown report format {format!r}")
+
+
+def emit_certificates(certs: list, format: str = "json") -> str:
+    """Serialize certify's (grid, shift, certificate) triples as json, or as
+    csv or a tab separated text table of one line each."""
+    if format == "json":
+        return strict_json([certificate_payload(*cert) for cert in certs])
+    if format not in ("csv", "text_table"):
+        raise ValueError(f"unknown report format {format!r}")
+    return _delimited(CERTIFICATE_HEADER, ([
+        grid.n, f"{shift.alpha:g}", f"{shift.beta:g}", cert.branch, cert.certified,
+        f"{cert.interval_lo_pos:.12g}", f"{cert.interval_hi_pos:.12g}",
+        cert.all_inside, f"{cert.max_violation:.6e}",
+    ] for grid, shift, cert in certs), "\t" if format == "text_table" else ",")
+
+
+def _delimited(header: str, rows, delimiter: str = ",") -> str:
+    """The header, a comma separated list of names, and the rows, one line
+    each, written by csv with the delimiter."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _text_table(rows: list[ReportRow]) -> str:

@@ -7,11 +7,9 @@ import dataclasses
 import os
 import sys
 
-from .bench import (ExperimentSpec, all_clear, coefficient_from_spec, emit_report,
-                    run_experiment, strict_json)
-from .grid import GridSpec
-from .saddle import Shift
-from .spectral import VERIFY_CAP_2D, certificate_payload, verify_spectrum
+from .bench import (ExperimentSpec, all_clear, certify, emit_certificates, emit_report,
+                    run_experiment)
+from .spectral import VERIFY_CAP_2D
 
 COEF_CHOICES = {"const": "constant_one", "example2": "example2_poly"}
 DEFAULTS = ExperimentSpec()
@@ -98,41 +96,16 @@ def _cmd_verify(args) -> int:
     if max(args.n) > VERIFY_CAP_2D:  # refused before any certificate runs
         args.usage_error(f"argument --n: dense verification stops at n={VERIFY_CAP_2D}, "
                          f"got {max(args.n)}")
-    coefficient_name = COEF_CHOICES[args.coef]
-    coefficient = coefficient_from_spec(coefficient_name)
-    payloads = []
-    ok = True
-    # a bad shift is refused before any certificate runs; a shift the
-    # certificate cannot take, such as one that overflows the weights, is
-    # refused when it comes up
+    # a bad or repeated grid size or shift is refused before any certificate
+    # runs; a shift the certificate cannot take, such as one that overflows
+    # the weights, is refused when it comes up
     try:
-        pairs = _shifts_from_args(args) or ExperimentSpec(coefficient=coefficient_name).shifts
-        shifts = [Shift(alpha, beta) for alpha, beta in pairs]
-        for n in args.n:
-            grid = GridSpec(n, 2)
-            for shift in shifts:
-                cert = verify_spectrum(grid, coefficient, shift)
-                payloads.append(certificate_payload(grid, shift, cert))
-                ok = ok and cert.verdict != "fail"
+        certs = certify(ExperimentSpec(grid_sizes=tuple(args.n), shifts=_shifts_from_args(args),
+                                       coefficient=COEF_CHOICES[args.coef]))
     except ValueError as exc:
         args.usage_error(str(exc))  # exits 2
-    fmt = args.format or "json"
-    if fmt == "json":
-        text = strict_json(payloads)
-    else:
-        lines = ["n,alpha,beta,branch,certified,mu_inner,mu_outer,all_inside,max_violation"]
-        for p in payloads:
-            lines.append(
-                f"{p['grid']['n']},{p['alpha']:g},{p['beta']:g},{p['branch']},"
-                f"{p['certified']},"
-                f"{p['mu_bounds']['inner']:.12g},{p['mu_bounds']['outer']:.12g},"
-                f"{p['all_inside']},{p['max_violation']:.6e}"
-            )
-        text = "\n".join(lines) + "\n"
-        if fmt == "text_table":
-            text = text.replace(",", "\t")
-    _emit(text, args.out)
-    return 0 if ok else 1
+    _emit(emit_certificates(certs, args.format or "json"), args.out)
+    return 0 if all(cert.verdict != "fail" for _, _, cert in certs) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

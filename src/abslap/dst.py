@@ -4,9 +4,9 @@ The length-n transform matrix S has entries sqrt(2/(n+1)) sin(jk pi/(n+1)),
 j, k = 1..n.  With this normalization it is symmetric and orthogonal, hence
 its own inverse, and a single code path serves forward and backward
 transforms.  Applied along both axes it diagonalizes the
-constant-coefficient Dirichlet Laplacian on the unit square: along one axis
-the eigenvalue of mode p is (4/h^2) sin^2(p pi h / 2) with h = 1/(n+1),
-and the two axes' modes combine additively.
+constant-coefficient Dirichlet Laplacian on the unit square; the
+eigenvalues it exposes, in this module's mode order, are
+grid.laplacian_eigenvalues.  This module holds the transform alone.
 
 Two evaluation routes are kept deliberately separate so they can check each
 other: a fast path built on a real FFT of length 2(n+1), and an explicit
@@ -45,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .grid import GridSpec, aligned_empty, blocks, grid_stack
+from .grid import blocks, grid_stack
 
 
 def sine_matrix(n: int) -> np.ndarray:
@@ -164,24 +164,3 @@ class SineTransform:
     def apply_reference(self, v: np.ndarray) -> np.ndarray:
         s = sine_matrix(self.n)
         return (s @ grid_stack(v, self.n) @ s).reshape(np.shape(v))
-
-
-def axis_eigenvalues(grid: GridSpec) -> np.ndarray:
-    """Eigenvalues (4/h^2) sin^2(p pi h / 2), p = 1..n, of the Laplacian along one axis."""
-    h = grid.h
-    p = np.arange(1, grid.n + 1)
-    return (4.0 / h ** 2) * np.sin(0.5 * math.pi * h * p) ** 2
-
-
-def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
-    """Eigenvalues of the Dirichlet Laplacian on this grid, in DST basis order.
-
-    Mode ordering matches the row-major vectorization used by the grid
-    operators, so dst(L dst(v)) scales coordinates by exactly this vector:
-    entry (i, j) of its n-by-n view is lam1[i] + lam1[j], lam1 the
-    axis_eigenvalues.
-    """
-    lam1 = axis_eigenvalues(grid)
-    out = aligned_empty(grid.m)  # the preconditioner's weights are built in it
-    np.add(lam1[:, None], lam1[None, :], out=out.reshape(grid.n, grid.n))
-    return out

@@ -13,6 +13,12 @@ edge arrays: apply() is matrix-free, block() is the one scatter of K onto a
 basis of grid arrays from swap_blocks, dense() is block() on the plain
 basis, and swap_symmetric says whether K commutes with the axis swap, so
 that the two swap bases split it in two.
+
+The constant-coefficient stencil's spectrum is known in closed form, since
+the 2D sine transform of abslap.dst diagonalizes it.  axis_eigenvalues
+evaluates the one-axis eigenvalues, the one place their formula is
+written; laplacian_eigenvalues sums the two axes' modes in transform
+order, and smallest_laplacian_eigenvalue is the lowest of them.
 """
 
 from __future__ import annotations
@@ -335,12 +341,28 @@ def assemble_laplacian_2d_variable(grid: GridSpec, coefficient: CoefficientField
     return StencilOperator(grid, (ax, ay))
 
 
-def smallest_laplacian_eigenvalue(grid: GridSpec) -> float:
-    """Exact smallest eigenvalue of the discrete Dirichlet Laplacian on this grid.
-
-    Per dimension the smallest mode contributes (4/h^2) sin^2(pi h / 2); the
-    tensor structure sums one such term per dimension.
-    """
+def axis_eigenvalues(grid: GridSpec) -> np.ndarray:
+    """Eigenvalues (4/h^2) sin^2(p pi h / 2), p = 1..n, of the Laplacian along one axis."""
     h = grid.h
-    return 2.0 * (4.0 / h ** 2) * math.sin(0.5 * math.pi * h) ** 2
+    p = np.arange(1, grid.n + 1)
+    return (4.0 / h ** 2) * np.sin(0.5 * math.pi * h * p) ** 2
 
+
+def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
+    """Eigenvalues of the Dirichlet Laplacian on this grid, in DST basis order.
+
+    Mode ordering matches the row-major vectorization used by the grid
+    operators, so dst(L dst(v)) scales coordinates by exactly this vector:
+    entry (i, j) of its n-by-n view is lam1[i] + lam1[j], lam1 the
+    axis_eigenvalues.
+    """
+    lam1 = axis_eigenvalues(grid)
+    out = aligned_empty(grid.m)  # the preconditioner's weights are built in it
+    np.add(lam1[:, None], lam1[None, :], out=out.reshape(grid.n, grid.n))
+    return out
+
+
+def smallest_laplacian_eigenvalue(grid: GridSpec) -> float:
+    """Exact smallest eigenvalue of the discrete Dirichlet Laplacian on this grid:
+    the smallest mode along each of the two axes, summed."""
+    return float(2.0 * axis_eigenvalues(grid)[0])

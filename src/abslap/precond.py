@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from .dst import SineTransform, laplacian_eigenvalues, sine_matrix
-from .grid import DENSE_CAP_2D, CoefficientField, GridSpec, stacked_halves
+from .dst import SineTransform, sine_matrix
+from .grid import DENSE_CAP_2D, CoefficientField, GridSpec, laplacian_eigenvalues, stacked_halves
 from .minres import Basis
 from .saddle import SaddleOperator, Shift
 

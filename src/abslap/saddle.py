@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dst import axis_eigenvalues
-from .grid import KIND_CONSTANT, StencilOperator, blocks, stacked_halves
+from .grid import KIND_CONSTANT, StencilOperator, axis_eigenvalues, blocks, stacked_halves
 
 
 @dataclass(frozen=True)

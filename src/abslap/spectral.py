@@ -115,9 +115,11 @@ def abs_block_2x2(theta: float, a_n: np.ndarray):
     Returns (q, eigenvalues, abs_m) with M = q Lambda q* and
     abs_m = |M| = q |Lambda| q*, Lambda the diagonal matrix of the
     eigenvalues.  With A = U Sigma V* the eigenvalues are
-    +-sqrt(sigma^2 + theta^2) and eigenvectors combine the singular vector
-    pairs; a zero denominator (sigma = 0 with matching sign of theta) falls
-    back to the axis eigenvector of the then-diagonal mode.
+    +-s, s = sqrt(sigma^2 + theta^2), and eigenvectors combine the singular
+    vector pairs: on (v_k; u_k) mode k's block [[theta, sigma_k], [sigma_k,
+    -theta]] is s_k times the reflection by phi_k = atan2(sigma_k, theta),
+    whose eigenvectors are (cos, sin)(phi_k / 2) for +s_k and
+    (-sin, cos)(phi_k / 2) for -s_k.
     """
     a = np.atleast_2d(np.asarray(a_n))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -131,19 +133,9 @@ def abs_block_2x2(theta: float, a_n: np.ndarray):
         raise ValueError("singular block: theta = 0 and A has a zero singular value")
 
     s = np.hypot(sig, theta)
-    d1 = np.hypot(s - theta, sig)
-    d2 = np.hypot(s + theta, sig)
-    # A vanished denominator (sigma = 0, sign of theta matching) means that
-    # mode's two-by-two block is already diagonal; its eigenvector is (1, 0).
-    safe1 = np.where(d1 == 0.0, 1.0, d1)
-    safe2 = np.where(d2 == 0.0, 1.0, d2)
-    top1 = np.where(d1 == 0.0, 1.0, sig / safe1)
-    bot1 = np.where(d1 == 0.0, 0.0, (s - theta) / safe1)
-    top2 = np.where(d2 == 0.0, 1.0, -sig / safe2)
-    bot2 = np.where(d2 == 0.0, 0.0, (s + theta) / safe2)
-
-    q = np.block([[v * top1[None, :], v * top2[None, :]],
-                  [u * bot1[None, :], u * bot2[None, :]]])
+    half = 0.5 * np.arctan2(sig, theta)
+    cos, sin = np.cos(half), np.sin(half)
+    q = np.block([[v * cos, -v * sin], [u * sin, u * cos]])
     eigenvalues = np.concatenate([s, -s])
     abs_m = (q * np.abs(eigenvalues)[None, :]) @ q.conj().T
     if not np.iscomplexobj(a):

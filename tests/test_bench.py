@@ -206,8 +206,9 @@ def test_coefficient_name_mapping():
     poly = coefficient_from_spec("example2_poly")
     assert (poly.a_min, poly.a_max) == (400.0, 441.0)
 
-    # only the two named regimes exist; strings are never evaluated
-    for unknown in ("2.0 + x1 * x2", "definitely_not_a_coefficient"):
+    # only the two named regimes exist; strings are never evaluated, and a
+    # name that is not a string is refused with the same error
+    for unknown in ("2.0 + x1 * x2", "definitely_not_a_coefficient", ["constant_one"]):
         with pytest.raises(ValueError):
             coefficient_from_spec(unknown)
 
@@ -292,7 +293,7 @@ def test_row_error_is_recorded_and_run_continues():
     # shifting by exactly the negated single Laplacian eigenvalue of the
     # one-point grid makes the preconditioner singular; that row must fail
     # gracefully while the next row still runs
-    from abslap.dst import laplacian_eigenvalues
+    from abslap.grid import laplacian_eigenvalues
 
     lam = float(laplacian_eigenvalues(GridSpec(1, 2))[0])
     spec = ExperimentSpec(grid_sizes=(1,), shifts=((-lam, 0.0), (100.0, 100.0)),

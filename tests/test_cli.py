@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from abslap import cli
+from abslap import bench, cli
 from abslap.bench import CSV_HEADER, DEFAULT_CONSTANT_SHIFTS, DEFAULT_VARIABLE_SHIFTS
 from abslap.cli import main
 
@@ -120,7 +120,7 @@ def test_verify_above_cap_is_a_usage_error(capsys, monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("ran a certificate")
 
-    monkeypatch.setattr(cli, "verify_spectrum", no_run)
+    monkeypatch.setattr(bench, "verify_spectrum", no_run)
     with pytest.raises(SystemExit) as err:
         main(["verify", "--n", "7,63"])
     assert err.value.code == 2
@@ -190,6 +190,19 @@ def test_verify_rejects_alpha_without_beta(capsys):
     assert "equal counts" in _usage_error_text(capsys, ["verify", "--alpha", "1"])
 
 
+@pytest.mark.parametrize("argv", [["verify", "--n", "3,3"],
+                                  ["verify", "--alpha", "100,100", "--beta", "100,100"]],
+                         ids=["repeated-n", "repeated-shift"])
+def test_verify_refuses_repeats(capsys, monkeypatch, argv):
+    # verify sweeps through ExperimentSpec, as bench does, so a repeated grid
+    # size or shift is refused before any certificate runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a certificate")
+
+    monkeypatch.setattr(bench, "verify_spectrum", no_run)
+    assert "must not repeat" in _usage_error_text(capsys, argv)
+
+
 def test_solve_rejects_shift_sweeps(capsys):
     assert "exactly one shift" in _usage_error_text(
         capsys, ["solve", "--n", "7", "--alpha", "1,2", "--beta", "3,4"])
@@ -213,7 +226,7 @@ def test_empty_list_is_a_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("ran with an empty list")
 
     monkeypatch.setattr(cli, "run_experiment", no_run)
-    monkeypatch.setattr(cli, "verify_spectrum", no_run)
+    monkeypatch.setattr(bench, "verify_spectrum", no_run)
     assert "expected at least one value, got ','" in _usage_error_text(capsys, argv)
 
 
@@ -261,7 +274,7 @@ def test_out_in_a_missing_directory_is_a_usage_error(capsys, monkeypatch, tmp_pa
         raise AssertionError("ran before the --out check")
 
     monkeypatch.setattr(cli, "run_experiment", no_run)
-    monkeypatch.setattr(cli, "verify_spectrum", no_run)
+    monkeypatch.setattr(bench, "verify_spectrum", no_run)
     target = tmp_path / "missing" / "x.csv"
     err = _usage_error_text(capsys, [command, "--n", "7", "--out", str(target)])
     assert "does not exist" in err and str(tmp_path / "missing") in err
@@ -275,7 +288,7 @@ def test_out_naming_a_directory_is_a_usage_error(capsys, monkeypatch, tmp_path, 
         raise AssertionError("ran before the --out check")
 
     monkeypatch.setattr(cli, "run_experiment", no_run)
-    monkeypatch.setattr(cli, "verify_spectrum", no_run)
+    monkeypatch.setattr(bench, "verify_spectrum", no_run)
     err = _usage_error_text(capsys, [command, "--n", "7", "--out", str(tmp_path)])
     assert "is a directory" in err and str(tmp_path) in err
     assert list(tmp_path.iterdir()) == []
@@ -372,6 +385,15 @@ def test_verify_csv_golden(capsys, coef, expected):
     code = main(["verify", "--coef", coef, "--n", "3,7,15", "--format", "csv"])
     assert code == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("coef, expected", [("const", GOLDEN_VERIFY_CONST_CSV),
+                                            ("example2", GOLDEN_VERIFY_EXAMPLE2_CSV)])
+def test_verify_text_table_golden(capsys, coef, expected):
+    # the text table is the csv report with tabs between its fields
+    code = main(["verify", "--coef", coef, "--n", "3,7,15", "--format", "text_table"])
+    assert code == 0
+    assert capsys.readouterr().out == expected.replace(",", "\t")
 
 
 @pytest.mark.parametrize("argv, expected", [

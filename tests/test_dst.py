@@ -9,8 +9,9 @@ import pytest
 
 from abslap import dst
 from abslap import grid as grid_module
-from abslap.dst import SineTransform, laplacian_eigenvalues, sine_matrix
-from abslap.grid import GridSpec, assemble_laplacian_2d_constant, smallest_laplacian_eigenvalue
+from abslap.dst import SineTransform, sine_matrix
+from abslap.grid import (GridSpec, assemble_laplacian_2d_constant, laplacian_eigenvalues,
+                         smallest_laplacian_eigenvalue)
 
 
 def test_matrix_symmetric_and_involutory():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from abslap import grid as grid_module
-from abslap.dst import axis_eigenvalues, laplacian_eigenvalues, sine_matrix
+from abslap.dst import sine_matrix
 from abslap.grid import (
     KIND_CONSTANT,
     KIND_VARIABLE,
@@ -14,7 +14,9 @@ from abslap.grid import (
     GridSpec,
     assemble_laplacian_2d_constant,
     assemble_laplacian_2d_variable,
+    axis_eigenvalues,
     constant_coefficient,
+    laplacian_eigenvalues,
     separable_quadratic_coefficient,
     smallest_laplacian_eigenvalue,
 )
@@ -97,6 +99,18 @@ def test_smallest_eigenvalue_examples():
     assert smallest_laplacian_eigenvalue(GridSpec(63, 2)) == pytest.approx(19.73525, abs=1e-4)
     # approaches 2 pi^2 from below as the grid refines
     assert smallest_laplacian_eigenvalue(GridSpec(511, 2)) < 2.0 * math.pi ** 2
+
+
+def test_smallest_eigenvalue_is_pinned_bit_for_bit():
+    # the closed form as written before the one-axis eigenvalues moved into
+    # grid, kept here as the reference every grid size must match exactly
+    def reference(grid):
+        h = grid.h
+        return 2.0 * (4.0 / h ** 2) * math.sin(0.5 * math.pi * h) ** 2
+
+    for n in range(1, 2048):
+        grid = GridSpec(n, 2)
+        assert smallest_laplacian_eigenvalue(grid) == reference(grid), n
 
 
 def test_variable_reduces_to_constant_for_unit_coefficient():

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from abslap import dst
-from abslap.dst import laplacian_eigenvalues
 from abslap.grid import (
     GridSpec,
     assemble_laplacian_2d_constant,
     constant_coefficient,
+    laplacian_eigenvalues,
     separable_quadratic_coefficient,
 )
 from abslap.oracle import dense_abs, ideal_preconditioner_dense

@@ -5,11 +5,12 @@ import pytest
 
 from abslap import grid as grid_module
 from abslap import saddle as saddle_module
-from abslap.dst import axis_eigenvalues, sine_matrix
+from abslap.dst import sine_matrix
 from abslap.grid import (
     GridSpec,
     assemble_laplacian_2d_constant,
     assemble_laplacian_2d_variable,
+    axis_eigenvalues,
     separable_quadratic_coefficient,
 )
 from abslap.saddle import SaddleOperator, Shift, real_to_complex, saddle_rhs
