@@ -15,7 +15,16 @@ here so runs are bit-reproducible regardless of numpy version:
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB; out = z ^ (z >> 31)
 
 Uniforms are (out >> 11 + 0.5) * 2^-53 in (0, 1) and normal pairs come from
-the Box-Muller map sqrt(-2 ln u1) (cos, sin)(2 pi u2).
+the Box-Muller map sqrt(-2 ln u1) (cos, sin)(2 pi u2).  A draw of p pairs
+takes u1 from its first p counters and u2 from the next p.  It computes
+them in chunks of pairs cut by grid.blocks, each chunk from its own
+counters with the whole-array operations, so the normals are bit-identical
+to a whole-array draw and the temporaries stay chunk-sized.
+
+generate_rhs draws the exact solution's real and imaginary parts straight
+into the halves of one stacked vector and applies the block operator to
+it.  A bench row turns f into the block right-hand side b once and hands b
+to the solver, so f is freed before the solve.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 
 from .grid import (KIND_CONSTANT, CoefficientField, GridSpec,
                    assemble_laplacian_2d_constant, assemble_laplacian_2d_variable,
-                   constant_coefficient, separable_quadratic_coefficient)
+                   blocks, constant_coefficient, separable_quadratic_coefficient)
 from .minres import SolverConfig, minres_solve
 from .precond import build_averaged, build_ideal, sine_basis
 from .saddle import SaddleOperator, Shift, saddle_rhs
@@ -59,6 +68,13 @@ CSV_HEADER = "n,dof,alpha,beta,iterations,wall_time,true_residual,bound_iteratio
 CERTIFICATE_HEADER = "n,alpha,beta,branch,certified,mu_inner,mu_outer,all_inside,max_violation"
 
 
+def _checked(count: int) -> int:
+    """count, refused before any draw if negative: it would move the stream back."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    return count
+
+
 class RandomStream:
     """splitmix64 with Box-Muller normals; counter-based and vectorized."""
 
@@ -66,35 +82,59 @@ class RandomStream:
         self.seed = int(seed) & MASK64
         self._drawn = 0
 
-    def _mix(self, counters: np.ndarray) -> np.ndarray:
+    def _mix(self, first: int, count: int) -> np.ndarray:
+        """The raw outputs at counters first, ..., first + count - 1."""
+        counters = np.arange(first, first + count, dtype=np.uint64)
         with np.errstate(over="ignore"):
             z = (np.uint64(self.seed) + counters * np.uint64(GOLDEN)) & np.uint64(MASK64)
             z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX1)
             z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX2)
             return z ^ (z >> np.uint64(31))
 
+    def _take(self, count: int) -> int:
+        """Advance the stream past count outputs; return the first counter
+        they take."""
+        self._drawn += _checked(count)
+        return self._drawn - count + 1
+
+    @staticmethod
+    def _uniform(bits: np.ndarray) -> np.ndarray:
+        return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
     def bits(self, count: int) -> np.ndarray:
         """count raw 64-bit outputs as uint64, advancing the stream."""
-        counters = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
-        self._drawn += count
-        return self._mix(counters)
+        return self._mix(self._take(count), count)
 
     def uniforms(self, count: int) -> np.ndarray:
         """count uniforms in the open interval (0, 1), advancing the stream."""
-        bits = self.bits(count)
-        return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        return self._uniform(self.bits(count))
 
-    def normals(self, count: int) -> np.ndarray:
-        """count standard normals; consumes uniforms in Box-Muller pairs."""
-        pairs = (count + 1) // 2
-        u1 = self.uniforms(pairs)
-        u2 = self.uniforms(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:count]
+    def normals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """count standard normals; consumes uniforms in Box-Muller pairs.
+
+        As in numpy, the normals go into out when it is given, a float64
+        array of shape (count,), and out is returned; otherwise into a new
+        array.  The pairs are drawn in chunks cut by grid.blocks, each from
+        its own counters, so the bits do not depend on the chunk size.
+        """
+        pairs = (_checked(count) + 1) // 2
+        if out is None:
+            out = np.empty(count)
+        elif (not isinstance(out, np.ndarray) or out.shape != (count,)
+                or out.dtype != np.float64):
+            raise ValueError(f"out must be a float64 array of shape ({count},), "
+                             f"got {getattr(out, 'shape', type(out))}")
+        # the first half of the counters feeds u1, the second u2
+        first = self._take(2 * pairs)
+        for c in blocks(pairs, 8 * 8):  # eight doubles per pair in flight
+            size = c.stop - c.start
+            radius = np.sqrt(-2.0 * np.log(self._uniform(self._mix(first + c.start, size))))
+            angle = 2.0 * math.pi * self._uniform(self._mix(first + pairs + c.start, size))
+            np.multiply(radius, np.cos(angle), out=out[2 * c.start:2 * c.stop:2])
+            # an odd count drops the last pair's sine
+            sines = out[2 * c.start + 1:2 * c.stop:2]
+            np.multiply(radius[:sines.size], np.sin(angle[:sines.size]), out=sines)
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,10 +209,14 @@ def generate_rhs(grid: GridSpec, k_op, shift: Shift, seed: int):
     """
     m = grid.m
     stream = RandomStream(seed)
+    stacked = np.empty(2 * m)  # (Re z; Im z), drawn in place
+    stream.normals(m, out=stacked[:m])
+    stream.normals(m, out=stacked[m:])
     exact = np.empty(m, complex)
-    exact.real = stream.normals(m)
-    exact.imag = stream.normals(m)
-    b = SaddleOperator(k_op, shift).apply(np.concatenate([exact.real, exact.imag]))
+    exact.real = stacked[:m]
+    exact.imag = stacked[m:]
+    b = SaddleOperator(k_op, shift).apply(stacked)
+    del stacked
     f = np.empty(m, complex)
     f.real = b[m:]
     f.imag = b[:m]
@@ -188,12 +232,17 @@ def solve_shifted(k_op, shift: Shift, precond, f, config: SolverConfig):
     call, looked up in this module, and returns its (x, SolveReport) with x
     the stacked (Re z; Im z) in the original basis.
     """
+    return _solve_block(k_op, shift, precond, saddle_rhs(f), config)
+
+
+def _solve_block(k_op, shift: Shift, precond, b, config: SolverConfig):
+    """solve_shifted on the block right-hand side b = saddle_rhs(f)."""
     operator = SaddleOperator(k_op, shift)
     apply_pinv = precond.apply_inverse if precond is not None else None
     basis = None
     if precond is not None and k_op.kind == KIND_CONSTANT:
         basis = sine_basis(operator, precond)
-    return minres_solve(operator.apply, apply_pinv, saddle_rhs(f), config, basis=basis)
+    return minres_solve(operator.apply, apply_pinv, b, config, basis=basis)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
@@ -231,10 +280,12 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
         precond = build_averaged(grid, coefficient, shift)
     else:
         precond = None
-    # the solution takes the exact solution's name, which frees it
-    _, rhs = generate_rhs(grid, k_op, shift, seed)
-    _, report = solve_shifted(k_op, shift, precond, rhs,
-                              SolverConfig(tol=spec.tol, max_iter=spec.max_iter))
+    # b takes f's name and the solution the exact solution's, which frees
+    # f before the solve and the exact solution after it
+    _, b = generate_rhs(grid, k_op, shift, seed)
+    b = saddle_rhs(b)
+    _, report = _solve_block(k_op, shift, precond, b,
+                             SolverConfig(tol=spec.tol, max_iter=spec.max_iter))
 
     row.iterations = report.iterations
     row.converged = report.converged
@@ -250,7 +301,7 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
     # CPython clears a frame's locals in the order they first appear, which
     # frees `precond` first; the next row's build on a large grid then
     # faults in fresh pages instead of reusing the freed ones.
-    del _, rhs
+    del _, b
     if report.converged and not report.final_true_residual <= 10.0 * spec.tol:
         raise RuntimeError(
             f"true residual {report.final_true_residual:.3e} exceeds ten times "

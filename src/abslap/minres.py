@@ -21,12 +21,15 @@ next Lanczos vector, and one updates w and x and rescales the new pair.
 Each element goes through the same operations, in the same order, as in
 whole-vector updates, so the iterates do not depend on the chunk size.
 The zero vectors the recurrence starts from, v_prev, w_prev and w_curr,
-are never made, and their terms, exactly zero, are skipped.
+are never made, and their terms, exactly zero, are skipped.  Nor is x made
+at the start: after step 1 it is exactly 0.0 + step_1 w_1, so w_1 carries
+it until step 2 makes x.
 
 The recurrence reads only a few vectors back (Paige and Saunders, 1975),
 and each work vector is dropped after its last read: v_prev once the next
-Lanczos vector is built, and on the final step v and the new pair before
-w is updated.  minres_solve lists the vectors a step holds.
+Lanczos vector is built, z when the next w is built in its buffer, and on
+the final step v and the new pair before w is updated.  minres_solve lists
+the vectors a step holds.
 
 Inner products and norms go through np.einsum, never np.dot or
 np.linalg.norm: those call the threaded BLAS dot, whose worker then
@@ -101,9 +104,12 @@ def minres_solve(apply_a, apply_pinv, rhs, config: SolverConfig = SolverConfig()
     and w_curr, and apply_a's output becomes v_next.  v_prev dies as soon
     as v_next is built, before apply_pinv makes z_next, and on the step
     that ends the loop v, v_next and z_next die before w_next is made.
-    Besides rhs and the temporaries of apply_a and apply_pinv, a two-step
-    solve peaks at 6 full-size vectors and a longer one at 7 per step.
-    With a basis, the closing transform writes x in place.
+    w_next is built in z's buffer, unless z is v, as under the identity
+    preconditioner.  x is made at step 2, in w_1's buffer when step 2 is
+    the last; until then w_1 carries it.  Besides rhs and the temporaries
+    of apply_a and apply_pinv, a two-step solve peaks at 5 full-size
+    vectors and a longer one at 7 per step.  With a basis, the closing
+    transform writes x in place.
     """
     rhs = np.asarray(rhs, dtype=float)
     if apply_pinv is None:
@@ -134,7 +140,6 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
     Returns (x, residual history, converged).  The work vectors are local,
     so they are freed when it returns.
     """
-    x = np.zeros_like(rhs)
     v = first(rhs)
     z = apply_pinv(v)
     gamma_sq = _dot(z, v)
@@ -142,13 +147,14 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
     gamma0 = math.sqrt(max(gamma_sq, 0.0))
     history = [gamma0]
     if gamma0 == 0.0:
-        return x, history, True
+        return np.zeros_like(rhs), history, True
 
     _scale_pair(v, z, gamma0)
     chunks = blocks(rhs.size, 8 * 7)  # seven vectors per entry
-    # v_prev, w_prev and w_curr start as zero vectors; None stands for them,
-    # and their terms, exactly zero, are skipped.
-    v_prev = w_prev = w_curr = None
+    # x, v_prev, w_prev and w_curr start as zero vectors; None stands for
+    # them, and their terms, exactly zero, are skipped.  Until step 2 makes
+    # x, it is 0.0 + step_1 w_1, which w_1 carries.
+    x = v_prev = w_prev = w_curr = None
     # Rotation state: (c_prev, s_prev) is the rotation two steps back.
     c_prev, c_curr = 1.0, 1.0
     s_prev, s_curr = 0.0, 0.0
@@ -157,7 +163,7 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
     target = config.tol * gamma0
     converged = False
 
-    for _ in range(config.max_iter):
+    for k in range(config.max_iter):
         q = apply_a(z)
         if np.may_share_memory(q, z):
             q = q.copy()  # q becomes v_next below, and z is still needed
@@ -185,32 +191,47 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
         c_next = alpha0 / alpha1
         s_next = beta_next / alpha1
         step = c_next * eta
+        if k == 0:
+            step_1 = step
         eta = -s_next * eta
         history.append(abs(eta))
         converged = abs(eta) <= target
         # Krylov space exhausted at beta_next = 0: the iterate is exact up to
         # roundoff, and the loop ends either way
         last = converged or beta_next == 0.0
-        if last:
-            # no further step reads them: free them before w_next is made
-            v = v_next = z_next = None
 
-        # w_next = (z - alpha3 w_prev - alpha2 w_curr) / alpha1, built in the
-        # buffer of w_prev, which is dead after this step; x += step w_next;
-        # and unless this step is the last, v_next and z_next scaled by
-        # 1/beta_next
-        w_next = np.empty_like(rhs) if w_prev is None else w_prev
+        # w_next = (z - alpha3 w_prev - alpha2 w_curr) / alpha1 is z's last
+        # read, so it is built in z's buffer.  Under the identity
+        # preconditioner z is v, which a next step reads; w_next then takes
+        # the buffer of w_prev, dead after this step, or a new one.
+        if last or not np.may_share_memory(z, v):
+            w_next = z
+        else:
+            w_next = np.empty_like(rhs) if w_prev is None else w_prev
+        if last:
+            # no further step reads them: free them before x is made
+            v = v_next = z_next = None
+        if k == 1:
+            # x = (step_1 w_1 + 0.0) + step w_2, in w_1's buffer if no step
+            # reads w_1 again; the + 0.0 turns a -0.0 into 0.0, as x += does
+            x = w_curr if last else np.empty_like(rhs)
+        # then, from step 2 on, x += step w_next; and unless this step is the
+        # last, v_next and z_next scaled by 1/beta_next
         for c in chunks:
             w = w_next[c]
-            if w_prev is None:
-                w[...] = z[c]
-            else:
+            if w_prev is not None:
                 np.subtract(z[c], w_prev[c] * alpha3, out=w)
+            elif w_next is not z:
+                w[...] = z[c]
             if w_curr is not None:
                 w -= w_curr[c] * alpha2
             w /= alpha1
-            part = x[c]
-            part += w * step
+            if k == 1:
+                part = np.multiply(w_curr[c], step_1, out=x[c])
+                part += 0.0
+            if x is not None:
+                part = x[c]
+                part += w * step
             if not last:
                 _scale_pair(v_next[c], z_next[c], beta_next)
         if last:
@@ -222,6 +243,10 @@ def _lanczos(apply_a, apply_pinv, rhs, first, config: SolverConfig):
         s_prev, s_curr = s_curr, s_next
         beta = beta_next
 
+    if x is None:  # one step: x = step_1 w_1 + 0.0, in w_1's buffer
+        x = w_next
+        x *= step_1
+        x += 0.0
     return x, history, converged
 
 

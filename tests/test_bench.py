@@ -1,6 +1,7 @@
 """Benchmark harness: seeded streams, experiment sweeps, and report formats."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from abslap.bench import (
+    COEFFICIENT_NAMES,
     CSV_HEADER,
     DEFAULT_CONSTANT_SHIFTS,
     DEFAULT_VARIABLE_SHIFTS,
@@ -67,6 +69,63 @@ def test_normals_are_box_muller_pairs():
     radius = np.sqrt(-2.0 * np.log(u1))
     np.testing.assert_allclose(normals[0::2], radius * np.cos(2.0 * math.pi * u2), rtol=1e-15)
     np.testing.assert_allclose(normals[1::2], radius * np.sin(2.0 * math.pi * u2), rtol=1e-15)
+
+
+def _normals_reference(seed, count, skip=0):
+    """count normals by the whole-array Box-Muller formula, after skip draws."""
+    pairs = (count + 1) // 2
+    stream = RandomStream(seed)
+    stream.bits(skip)
+    u = stream.uniforms(2 * pairs)
+    radius = np.sqrt(-2.0 * np.log(u[:pairs]))
+    angle = 2.0 * math.pi * u[pairs:]
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8 * 8 * 3])
+def test_normals_out_matches_the_whole_array_formula(monkeypatch, block_bytes):
+    from abslap import grid as grid_module
+
+    if block_bytes is not None:
+        monkeypatch.setattr(grid_module, "BLOCK_BYTES", block_bytes)
+    pairs = grid_module.BLOCK_BYTES // (8 * 8)  # Box-Muller pairs per chunk
+    counts = {0, 1, 2, 7, 4 * pairs + 1}
+    counts |= {2 * p + odd for p in (pairs - 1, pairs, pairs + 1) for odd in (0, 1)}
+    for count in sorted(counts):
+        expected = _normals_reference(77, count)
+        assert RandomStream(77).normals(count).tobytes() == expected.tobytes()
+        out = np.full(count, np.nan)
+        stream = RandomStream(77)
+        assert stream.normals(count, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        # the stream moved past whole pairs, as the formula draws them
+        skip = 2 * ((count + 1) // 2)
+        assert stream.bits(2).tolist() == RandomStream(77).bits(skip + 2)[skip:].tolist()
+
+        # two successive draws into the halves of one buffer
+        stacked = np.full(2 * count, np.nan)
+        stream = RandomStream(78)
+        stream.normals(count, out=stacked[:count])
+        stream.normals(count, out=stacked[count:])
+        halves = np.concatenate([_normals_reference(78, count),
+                                 _normals_reference(78, count, skip)])
+        assert stacked.tobytes() == halves.tobytes()
+
+
+def test_bad_draws_are_refused_before_the_stream_moves():
+    untouched = RandomStream(1).bits(3).tolist()
+    for draw, args, kwargs in (("bits", (-5,), {}), ("uniforms", (-1,), {}),
+                               ("normals", (-3,), {}),
+                               ("normals", (5,), {"out": np.empty(4)}),
+                               ("normals", (5,), {"out": np.empty(5, np.float32)}),
+                               ("normals", (5,), {"out": [0.0] * 5})):
+        stream = RandomStream(1)
+        with pytest.raises(ValueError, match="nonnegative" if args[0] < 0 else "out"):
+            getattr(stream, draw)(*args, **kwargs)
+        assert stream.bits(3).tolist() == untouched
 
 
 def test_stream_determinism_and_seed_separation():
@@ -137,6 +196,47 @@ def test_generate_rhs_golden_bits(coefficient, alpha, beta, entries, total):
     assert (rhs.sum().real.hex(), rhs.sum().imag.hex()) == total
 
 
+# n: sha256 of exact's bytes, then of f's bytes over each default shift in
+# order, for constant_one and for example2_poly; seed 20261020.  Recorded
+# from whole-array draws and the concatenated block right-hand side.
+RHS_PINS = {
+    1: ("1e3810968f4f7c1b551524a4530c16e757a204dc468f134024fd52b62922aac2",
+        "18a48f7a2c4b5de10627b85ec5b923cf9753ce0a82a948d0232467139e2dd350",
+        "4ff51beaab97a41670ff6ecbc3f52d0e069090f03a99d2bac721259d17e88ac8"),
+    3: ("aa24b8ff52687d8470bdd30f8d08e9d87bd766d58b4eea54717956ed15f22ccc",
+        "11efe13b045b2454f84ad2a3b17e2a1c20d7dd00d4eb53422a7c28adb2398b05",
+        "62aa2185e0547e6865817313c5673c65e4cf5f9970d4418020bcc487f5a62351"),
+    15: ("b56ffe37f7b15d3bbe3c83c2336ad96127eb200b06bcf9b8d7816929b219a33e",
+         "07ac804b32a57daa669d251f1567ef7eb44f1d3d1547e56abd86d02d9c6daa39",
+         "03933930d5925addf9b14d0cf82648213e73c7ae6d4759b8b30247416c61be91"),
+    63: ("ef7460d32abb8216558ea3e21ed8f351a938073e8ca83f405226a562798bf0cb",
+         "637139ea40d75530e5a2737317bab75917e217c12f6a46f4bfd35ffd08b450fd",
+         "4e56b19abaf37b8df542e44fc1a400844454a80c5c7fb71184f17e6213ce1e9b"),
+    255: ("0ed7606e35ffc04dd0d0ffba2a720b1fde8ea0a8c4b16300732a1dc43eae9d26",
+          "0874c6e594b4a97b799e659b8568f6b2d9963d077acce3e948586b289ac49314",
+          "78701c155735ca40fa37c3ea5d7f965a439d132d5b4c0d5d4b1fa7ff3a3145ff"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(RHS_PINS))
+def test_generate_rhs_pinned_bits(n):
+    grid = GridSpec(n, 2)
+    exact_sha, *f_shas = RHS_PINS[n]
+    for name, f_sha in zip(COEFFICIENT_NAMES, f_shas):
+        spec = ExperimentSpec(grid_sizes=(n,), coefficient=name)
+        field = coefficient_from_spec(name)
+        if field.is_constant_one:
+            k_op = assemble_laplacian_2d_constant(grid)
+        else:
+            k_op = assemble_laplacian_2d_variable(grid, field)
+        digest = hashlib.sha256()
+        for alpha, beta in spec.shifts:
+            exact, f = generate_rhs(grid, k_op, Shift(alpha, beta), seed=20261020)
+            assert hashlib.sha256(exact.tobytes()).hexdigest() == exact_sha
+            digest.update(f.tobytes())
+        assert digest.hexdigest() == f_sha
+
+
 def test_solution_matches_exact_and_dense_reference():
     spec = ExperimentSpec(grid_sizes=(15,), shifts=((100.0, 100.0),),
                           coefficient="constant_one", preconditioner="ideal",
@@ -170,6 +270,7 @@ def test_row_frees_solution_and_rhs_before_the_preconditioner(
         monkeypatch, coefficient, preconditioner):
     # On large grids the next row's build reuses what this row frees; with
     # the preconditioner's weights freed first, it faults in fresh pages.
+    # f dies once the block right-hand side is made, before the solve.
     import weakref
 
     from abslap import bench
@@ -198,7 +299,7 @@ def test_row_frees_solution_and_rhs_before_the_preconditioner(
     monkeypatch.setattr(bench, "minres_solve", solve)
     run_experiment(ExperimentSpec(grid_sizes=(7,), shifts=((100.0, -100.0),),
                                   coefficient=coefficient, preconditioner=preconditioner))
-    assert freed == ["x", "f", "weights"]
+    assert freed == ["f", "x", "weights"]
 
 
 def test_coefficient_name_mapping():
