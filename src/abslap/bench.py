@@ -8,7 +8,10 @@ the dense spectrum containment.  certify runs the dense certificates alone
 over a spec's grid sizes and shifts, the sweep behind `abslap verify`.
 
 Randomness is a splitmix64 stream with Box-Muller normals, implemented
-here so runs are bit-reproducible regardless of numpy version:
+here.  The stream and its uniforms are exact, the same bits everywhere;
+the normals go through numpy's log, sqrt, cos and sin, so their last bits
+depend on numpy's build and on the CPU's SIMD level (numpy 2.4.6's AVX-512
+log differs from its baseline kernel by 1 ulp on some inputs):
 
     state_k = seed + k * 0x9E3779B97F4A7C15            (mod 2^64)
     z = state_k; z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -8,6 +8,10 @@ Variable coefficients are sampled at edge midpoints, which keeps the
 assembled operator symmetric and preserves the a_min * L <= K <= a_max * L
 ordering against the constant-coefficient Laplacian L.
 
+There is one stencil representation: edges and a row diagonal.  The
+Laplacian is the five-point stencil whose edges are all 1, held as
+zero-stride views that allocate nothing; it differs from a variable
+stencil only in apply(), which skips the multiplies by unit edges.
 StencilOperator owns every matrix form of K, and no other module reads its
 edge arrays: apply() is matrix-free, block() is the one scatter of K onto a
 basis of grid arrays from swap_blocks, dense() is block() on the plain
@@ -24,6 +28,7 @@ order, and smallest_laplacian_eigenvalue is the lowest of them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +53,9 @@ class GridSpec:
     dim: int = 2
 
     def __post_init__(self):
+        # a float n would give a float m and fail far from here, in numpy
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"need at least one interior point, got n={self.n}")
         if self.dim != 2:
@@ -93,9 +101,7 @@ class CoefficientField:
 
 
 def constant_coefficient(value: float = 1.0) -> CoefficientField:
-    """Constant field a(x) = value."""
-    if value <= 0.0:
-        raise ValueError(f"coefficient must be positive, got {value}")
+    """Constant field a(x) = value; CoefficientField refuses a value that is not positive."""
 
     def evaluator(*coords):
         shape = np.broadcast(*(np.asarray(c, float) for c in coords)).shape
@@ -160,9 +166,14 @@ def stacked_halves(w, m: int) -> np.ndarray:
 class StencilOperator:
     """Matrix-free symmetric positive definite five-point operator.
 
-    Built from coefficient samples at edge midpoints, (ax, ay), its kind is
-    "variable_laplacian"; built from none, it is the plain Laplacian stencil,
-    kind "constant_laplacian", whose edges are all 1.
+    Every stencil is held as its unscaled edges and row diagonal: ax, of
+    shape (n+1, n), on the edge between (i-1, j) and (i, j); ay, of shape
+    (n, n+1), on the edge between (i, j-1) and (i, j); and diag, of shape
+    (n, n), the sum of a point's four edges.  Built from coefficient samples
+    at edge midpoints, (ax, ay), its kind is "variable_laplacian".  Built
+    from none, it is the plain Laplacian, kind "constant_laplacian": its
+    edges are read-only zero-stride views of 1 and its diagonal one of 4,
+    so it allocates no array, and apply() skips its edge multiplies.
     Instances are immutable after assembly.  apply() walks its input in
     row blocks sized by BLOCK_BYTES, so its products are block-sized
     temporaries; it allocates only those and its output and keeps no state,
@@ -171,11 +182,13 @@ class StencilOperator:
 
     def __init__(self, grid: GridSpec, edge_coefficients=None):
         self.grid = grid
+        n = grid.n
         self.kind = KIND_CONSTANT if edge_coefficients is None else KIND_VARIABLE
-        self._edges = edge_coefficients
-        if edge_coefficients is not None:
-            ax, ay = edge_coefficients
-            # Row diagonal: sum of the four incident edge coefficients.
+        if edge_coefficients is None:
+            self._edges = (np.broadcast_to(1.0, (n + 1, n)), np.broadcast_to(1.0, (n, n + 1)))
+            self._diag = np.broadcast_to(4.0, (n, n))
+        else:
+            ax, ay = self._edges = edge_coefficients
             self._diag = ax[1:, :] + ax[:-1, :]
             self._diag += ay[:, 1:]
             self._diag += ay[:, :-1]
@@ -183,17 +196,6 @@ class StencilOperator:
     @property
     def scale(self) -> float:
         return (self.grid.n + 1.0) ** 2  # 1/h^2
-
-    @property
-    def _edge_arrays(self):
-        """Unscaled (ax, ay, diag): the edge coefficients, ax of shape (n+1, n)
-        between (i-1, j) and (i, j) and ay of shape (n, n+1) between (i, j-1)
-        and (i, j), and the row diagonal, the sum of a point's four edges.
-        The constant kind's edges are all 1 and its diagonal is 4."""
-        if self._edges is None:
-            n = self.grid.n
-            return np.ones((n + 1, n)), np.ones((n, n + 1)), np.full((n, n), 4.0)
-        return (*self._edges, self._diag)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """K u for a flat vector (m,) or for each row of a stack (B, m); same shape out."""
@@ -214,26 +216,23 @@ class StencilOperator:
         """
         n, scale = self.grid.n, self.scale
         variable = self.kind == KIND_VARIABLE
-        if variable:
-            (ax, ay), diag = self._edges, self._diag
+        (ax, ay), diag = self._edges, self._diag
+
+        def weighted(a, x):
+            """A neighbour term: x times its edges, or x itself on unit edges."""
+            return a * x if variable else x
+
         for rows in blocks(n, 8 * n * len(v) * ((6 if variable else 2) + extra)):
             lo, hi = rows.start, rows.stop
             top = min(hi, n - 1) - lo  # rows lo..lo+top-1 have a successor
             low = max(lo, 1)  # rows low..hi-1 have a predecessor
             o, x = out[:, lo:hi], v[:, lo:hi]
-            if not variable:
-                np.multiply(x, 4.0, out=o)
-                o[:, :top] -= v[:, lo + 1:lo + top + 1]
-                o[:, low - lo:] -= v[:, low - 1:hi - 1]
-                o[:, :, :-1] -= x[:, :, 1:]
-                o[:, :, 1:] -= x[:, :, :-1]
-            else:
-                np.multiply(diag[lo:hi], x, out=o)
-                o[:, :top] -= ax[lo + 1:lo + top + 1] * v[:, lo + 1:lo + top + 1]
-                o[:, low - lo:] -= ax[low:hi] * v[:, low - 1:hi - 1]
-                a = ay[lo:hi, 1:-1]
-                o[:, :, :-1] -= a * x[:, :, 1:]
-                o[:, :, 1:] -= a * x[:, :, :-1]
+            np.multiply(diag[lo:hi], x, out=o)
+            o[:, :top] -= weighted(ax[lo + 1:lo + top + 1], v[:, lo + 1:lo + top + 1])
+            o[:, low - lo:] -= weighted(ax[low:hi], v[:, low - 1:hi - 1])
+            a = ay[lo:hi, 1:-1]
+            o[:, :, :-1] -= weighted(a, x[:, :, 1:])
+            o[:, :, 1:] -= weighted(a, x[:, :, :-1])
             o *= scale
             yield rows
 
@@ -243,7 +242,7 @@ class StencilOperator:
         the stencil's edges.  Pi maps K's off-diagonal entries, the interior edges
         ax[1:-1], onto ay[:, 1:-1]^T, and its diagonal onto the diagonal's
         transpose.  The constant stencil always passes."""
-        ax, ay, diag = self._edge_arrays
+        (ax, ay), diag = self._edges, self._diag
         return np.array_equal(ax[1:-1], ay[:, 1:-1].T) and np.array_equal(diag, diag.T)
 
     def block(self, i, j, sign: float, c) -> np.ndarray:
@@ -260,7 +259,7 @@ class StencilOperator:
         m vectors, as the plain one does.
         """
         n = self.grid.n
-        ax, ay, diag = self._edge_arrays
+        (ax, ay), diag = self._edges, self._diag
         size = i.size
         r = np.arange(size)
         pos = np.full((n, n), -1)

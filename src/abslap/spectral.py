@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dst import sine_matrix
-from .grid import (CoefficientField, GridSpec, StencilOperator, assemble_laplacian_2d_constant,
-                   assemble_laplacian_2d_variable, smallest_laplacian_eigenvalue, swap_blocks)
+from .grid import (CoefficientField, GridSpec, StencilOperator, assemble_laplacian_2d_variable,
+                   smallest_laplacian_eigenvalue, swap_blocks)
 from .minres import bound_iterations
 from .precond import build_averaged
 from .saddle import Shift
@@ -241,6 +241,8 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     T^2 is the real form of M*M, M = Q^(-1/2) (K + lambda I) Q^(-1/2), so it
     has each sigma^2 twice; M_hat = W M W (W^2 = I) has M's singular values.
     No transform or stencil apply of the fast path enters.  Capped at n <= 31.
+    K is assembled from the coefficient's edge samples for every coefficient;
+    the unit coefficient's samples give the Laplacian's K bit for bit.
 
     Let Pi swap the grid's two axes, (ij) -> (ji).  W[ij, kl] = S[i, k] S[j, l]
     and D[ij], a function of lam_i + lam_j, are unchanged by it, and so is
@@ -281,10 +283,7 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     if grid.n > VERIFY_CAP_2D:
         raise ValueError(f"dense verification capped at n={VERIFY_CAP_2D}, got {grid.n}")
 
-    if coefficient.is_constant_one:
-        k_op = assemble_laplacian_2d_constant(grid)
-    else:
-        k_op = assemble_laplacian_2d_variable(grid, coefficient)
+    k_op = assemble_laplacian_2d_variable(grid, coefficient)
     n = grid.n
     scale = build_averaged(grid, coefficient, shift).weights ** -0.5
     s = sine_matrix(n)

@@ -1,6 +1,7 @@
 """Grid geometry, stencil assembly, and dense materialization checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from abslap.grid import (
     KIND_VARIABLE,
     CoefficientField,
     GridSpec,
+    StencilOperator,
     assemble_laplacian_2d_constant,
     assemble_laplacian_2d_variable,
     axis_eigenvalues,
@@ -19,6 +21,7 @@ from abslap.grid import (
     laplacian_eigenvalues,
     separable_quadratic_coefficient,
     smallest_laplacian_eigenvalue,
+    swap_blocks,
 )
 
 
@@ -39,6 +42,12 @@ def test_grid_spec_validation():
         GridSpec(4, 1)
     with pytest.raises(ValueError):
         GridSpec(4, 3)
+    # a float n, even a whole one, would give a float unknown count
+    for n in (3.0, 3.5):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(n)
+    for n in (np.int64(3), np.int32(3)):
+        assert GridSpec(n).m == 9
 
 
 def test_coefficient_fields():
@@ -63,6 +72,10 @@ def test_coefficient_fields():
         CoefficientField(lambda x1, x2: x1, a_min=0.0, a_max=1.0)
     with pytest.raises(ValueError):
         CoefficientField(lambda x1, x2: x1, a_min=2.0, a_max=1.0)
+    # a constant field's positivity is CoefficientField's bound check
+    for value in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="need 0 < a_min <= a_max"):
+            constant_coefficient(value)
 
 
 def test_2d_constant_stencil_structure():
@@ -114,15 +127,37 @@ def test_smallest_eigenvalue_is_pinned_bit_for_bit():
 
 
 def test_variable_reduces_to_constant_for_unit_coefficient():
-    grid = GridSpec(5, 2)
-    const = assemble_laplacian_2d_constant(grid)
-    var = assemble_laplacian_2d_variable(grid, constant_coefficient(1.0))
-    assert var.kind == KIND_VARIABLE
-    np.testing.assert_allclose(var.dense(), const.dense(), rtol=0, atol=1e-14 * 16.0 / grid.h ** 2)
+    # unit edges are the Laplacian's edges: every form of K has the same bits
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        u = rng.standard_normal(grid.m)
-        np.testing.assert_allclose(var.apply(u), const.apply(u), rtol=1e-14, atol=1e-12)
+    for n in (1, 2, 3, 7, 31):
+        grid = GridSpec(n, 2)
+        const = StencilOperator(grid)
+        var = assemble_laplacian_2d_variable(grid, constant_coefficient())
+        assert (const.kind, var.kind) == (KIND_CONSTANT, KIND_VARIABLE)
+        for shape in ((grid.m,), (3, grid.m)):
+            u = rng.standard_normal(shape)
+            assert var.apply(u).tobytes() == const.apply(u).tobytes()
+        assert var.dense().tobytes() == const.dense().tobytes()
+        assert var.swap_symmetric and const.swap_symmetric
+        for basis in swap_blocks(n, True):
+            assert var.block(*basis).tobytes() == const.block(*basis).tobytes()
+
+
+def test_laplacian_stencil_allocates_no_edge_arrays():
+    # its edges and diagonal are zero-stride views of one number each
+    grid = GridSpec(1023)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        op = StencilOperator(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert op.kind == KIND_CONSTANT
+    assert peak - base < 4096
 
 
 def test_variable_scales_linearly_in_coefficient():
@@ -234,6 +269,11 @@ def test_coefficient_sample_validation():
                             a_min=1.0, a_max=2.0)
     with pytest.raises(ValueError):
         assemble_laplacian_2d_variable(grid, liar)
+    # a zero sample lies within the range's slack of a_min = 1e-13, so only
+    # the positivity check refuses it
+    zero = CoefficientField(lambda x1, x2: 0.0 * x1 * x2, 1e-13, 1.0)
+    with pytest.raises(ValueError, match="sample <= 0"):
+        assemble_laplacian_2d_variable(grid, zero)
 
 
 def _reference_apply(op, u):
