@@ -10,24 +10,23 @@ grid.laplacian_eigenvalues.  This module holds the transform alone.
 
 Two evaluation routes are kept deliberately separate so they can check each
 other: a fast path built on a real FFT of length 2(n+1), and an explicit
-O(n^2) matrix product.  The fast path is one pass, X -> X^T S, run twice:
-(X^T S)^T S = S X S.  A pass walks the columns of X a block at a time.  Each
-block is copied, transposed, into a small buffer as rows of the zero-padded
-sequence [0, col, 0, ..., 0] of length 2(n+1); the imaginary part of its FFT
-is minus the sine sums, which land in the matching rows of the output.  The
-buffer's zero columns are written once, when it is made.  Both passes
-walk the same column blocks, cut by grid.blocks so that a block's buffer,
-spectrum and output rows fit in grid.BLOCK_BYTES, the budget every blocked
-pass of the solve shares; so no full-size extension or transposed copy is
-ever made.  The one full-size intermediate is the first pass's output; the
-second pass writes into a new array or into the caller's `out`, which may
-be the input.
+O(n^2) matrix product.  The fast path works in place: a column pass
+X -> S X, then a row pass X -> X S.  A pass walks X a block of columns, or
+of rows, at a time.  Each block is copied, the column pass transposing it,
+into a small buffer as rows of the zero-padded sequence [0, seq, 0, ..., 0]
+of length 2(n+1); the imaginary part of its FFT is minus the sine sums,
+which are written back over the block.  The buffer's zero columns are
+written once, when it is made.  Both passes cut the same blocks, by
+grid.blocks so that a block's buffer, spectrum and rows fit in
+grid.BLOCK_BYTES, the budget every blocked pass of the solve shares; so no
+full-size extension, transposed copy or intermediate is ever made.
 
 A pass's (array, block) tasks are independent, so the caller and one thread
 per further core the process may run on, from an executor that lives for
 one transform, take them from one shared queue, each with its own buffer.
-Every output row is written once with the serial arithmetic, so the result
-is bit-identical to a serial pass.  numpy's FFT, copies and products release
+Every block is read and written by one task with the serial arithmetic, and
+the row pass starts once the column pass is done, so the result is
+bit-identical to a serial pass.  numpy's FFT, copies and products release
 the interpreter lock, so the blocks run in parallel.  A shared queue rather
 than one fixed chunk per thread lets the caller start at once and take over
 the blocks of a thread that starts late or whose core is busy.  A grid whose
@@ -69,61 +68,53 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pass_tasks(x: np.ndarray, out: np.ndarray, tasks, lock, rows: int) -> None:
-    """out[b, cols] = x[b][:, cols].T @ S for each (b, cols) taken from the
-    shared iterator `tasks`, under `lock`, until it is exhausted.
+def _pass_tasks(tasks, lock, rows: int, n: int) -> None:
+    """a = a @ S in place for each block a taken from the shared iterator
+    `tasks`, under `lock`, until it is exhausted.
 
-    Runs in the caller or in a pool worker; each call owns its extension
-    buffer of `rows` rows, and the lock hands every block to exactly one call.
+    A block is a (width, n) view whose rows are the sequences to transform:
+    columns of a grid array, transposed, or its rows.  Runs in the caller or
+    in a pool worker; each call owns its extension buffer of `rows` rows,
+    and the lock hands every block to exactly one call.
     """
-    n = x.shape[-1]
     scale = -math.sqrt(2.0 / (n + 1))
     ext = np.zeros((rows, 2 * (n + 1)))  # columns 0 and n+1.. stay zero
     while True:
         with lock:
-            task = next(tasks, None)
-        if task is None:
+            a = next(tasks, None)
+        if a is None:
             return
-        b, cols = task
-        e = ext[:cols.stop - cols.start]
-        e[:, 1:n + 1] = x[b, :, cols].T
-        np.multiply(np.fft.rfft(e).imag[:, 1:n + 1], scale, out=out[b, cols])
+        e = ext[:len(a)]
+        e[:, 1:n + 1] = a
+        # scaled whole: numpy walks the imaginary part as one flat run, where
+        # a slice of its columns would take two 64 KB iteration buffers
+        sums = np.fft.rfft(e).imag
+        np.multiply(sums, scale, out=sums)
+        a[...] = sums[:, 1:n + 1]
+        del sums  # the spectrum goes before the next block makes its own
 
 
-def _transpose_dst(x: np.ndarray, cols: list[slice], pool, workers: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """out[b] = x[b].T @ S for a stack x of n-by-n arrays, one column block at a time.
+def _dst2(x: np.ndarray) -> None:
+    """x[b] = S x[b] S in place for each n-by-n array of a stack: a column
+    pass, then a row pass, over the same blocks.
 
-    The caller and `workers - 1` calls on `pool` take the (array, block)
-    tasks from one shared queue.  out, a new array if None, must not
-    overlap x: a block writes rows of out that later blocks read as columns.
-    """
-    tasks = iter([(b, c) for b in range(len(x)) for c in cols])
-    lock = threading.Lock()
-    if out is None:
-        out = np.empty(x.shape)
-    args = (x, out, tasks, lock, cols[0].stop)  # buffer rows: the first block's
-    futures = [pool.submit(_pass_tasks, *args) for _ in range(workers - 1)]
-    _pass_tasks(*args)
-    for future in futures:
-        future.result()
-    return out
-
-
-def _dst2(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """S x[b] S for each n-by-n array of a stack, as two passes X -> X^T S.
-
-    The second pass writes into out, a new array if None.  out may be x
-    itself: the first pass has read all of x before the second starts.
-    Both passes walk the same column blocks.  A grid whose half spans
-    fewer than _SPLIT_BLOCKS of them runs in the caller alone; a larger one
-    splits each pass across every core.
+    A grid whose half spans fewer than _SPLIT_BLOCKS blocks runs in the
+    caller alone; a larger one splits each pass across every core: the
+    caller and `workers - 1` calls on the pool take the (array, block)
+    tasks from one shared queue.
     """
     n = x.shape[-1]
-    cols = blocks(n, 16 * (n + 1) + 16 * (n + 2) + 8 * n)
-    workers = min(_cores(), len(x) * len(cols)) if len(cols) >= _SPLIT_BLOCKS else 1
+    cuts = blocks(n, 16 * (n + 1) + 16 * (n + 2) + 8 * n)
+    workers = min(_cores(), len(x) * len(cuts)) if len(cuts) >= _SPLIT_BLOCKS else 1
     with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
-        return _transpose_dst(_transpose_dst(x, cols, pool, workers), cols, pool, workers, out)
+        # block by block across the stack: threads taking consecutive tasks
+        # then write different arrays, not cache lines at a block's edge
+        for views in ((a[:, c].T for c in cuts for a in x), (a[c] for c in cuts for a in x)):
+            args = (views, threading.Lock(), cuts[0].stop, n)  # buffer rows: the first block's
+            futures = [pool.submit(_pass_tasks, *args) for _ in range(workers - 1)]
+            _pass_tasks(*args)
+            for future in futures:
+                future.result()
 
 
 class SineTransform:
@@ -149,16 +140,22 @@ class SineTransform:
 
         As in numpy, the result goes into out when it is given, and out is
         returned; otherwise into a new array.  out must be a C-contiguous
-        float64 array of v's shape, and may be v itself.
+        float64 array of v's shape.  The transform runs in place in the
+        result: v is copied into it once, or, when out is v itself, v is
+        transformed where it stands.
         """
         x = grid_stack(v, self.n)
         if out is None:
-            return _dst2(x).reshape(np.shape(v))
+            out = x.copy()
+            _dst2(out)
+            return out.reshape(np.shape(v))
         if (not isinstance(out, np.ndarray) or out.shape != np.shape(v)
                 or out.dtype != np.float64 or not out.flags.c_contiguous):
             raise ValueError(f"out must be a C-contiguous float64 array of shape "
                              f"{np.shape(v)}, got {getattr(out, 'shape', type(out))}")
-        _dst2(x, out.reshape(x.shape))
+        y = out.reshape(x.shape)
+        np.copyto(y, x)  # a no-op when out is v: numpy skips a copy between identical views
+        _dst2(y)
         return out
 
     def apply_reference(self, v: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ block diagonal with two copies of sqrt((K + alpha I)^2 + beta^2 I).  For
 constant coefficients K is diagonalized by the DST, so applying any real
 power costs two transforms and one diagonal scaling per half: weights are
 sqrt((lam + alpha)^2 + beta^2) over the Laplacian eigenvalues lam.  An
-apply makes one stacked vector, its result: the scaling and the second
-transform work in place in the first transform's output, so beside it at
-most one full-size intermediate, a transform's first pass, is alive.
+apply makes one stacked vector, its result, and no other full-size array:
+the first transform runs in a copy of its input, and the scaling and the
+second transform work in place in that copy.
 
 For variable coefficients bounded by 0 < a_min <= a <= a_max the averaged
 variant replaces K with gamma L, gamma = sqrt(a_min a_max), keeping the
@@ -46,8 +46,9 @@ class SpectralPreconditioner:
     def apply_inverse(self, w: np.ndarray) -> np.ndarray:
         """Apply P^-1 to a stacked vector: one transform pair over both block halves.
 
-        The divide and the second transform work in the first transform's
-        output, which is returned; w is not modified.
+        The first transform runs in place in a copy of w, and the divide
+        and the second transform in that copy, which is returned; w is not
+        modified.
         """
         t = self.transform
         x = t.apply(stacked_halves(w, self.m))

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -176,6 +177,36 @@ def test_out_argument_is_bit_equal_to_a_new_result(monkeypatch):
             assert t.apply(v, out=v) is v
             np.testing.assert_array_equal(v, expected)
             assert CountingExecutor.built == (0 if workers == 1 else 3)
+
+
+@pytest.mark.parametrize("split, executors", [(dst._SPLIT_BLOCKS, 0), (2, 1)])
+def test_transform_peak_memory_in_stacked_vectors(monkeypatch, split, executors):
+    # tracemalloc peak above the input, in (2, m) stacks, at n=511: serial,
+    # then with the gate lowered so two calls each hold a block's buffer and
+    # spectrum.  In place nothing full-size is made; a new result is the
+    # one full-size array.
+    monkeypatch.setattr(dst, "ThreadPoolExecutor", CountingExecutor)
+    monkeypatch.setattr(dst, "_SPLIT_BLOCKS", split)
+    monkeypatch.setattr(dst, "_cores", lambda: 2)
+    n = 511
+    t = SineTransform(n)
+    v = np.random.default_rng(31).standard_normal((2, n * n))
+    t.apply(v)  # first-call caches are not the transform's
+    for transform, limit in ((lambda: t.apply(v, out=v), 0.25), (lambda: t.apply(v), 1.25)):
+        CountingExecutor.built = 0
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = transform()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert result.shape == v.shape
+        assert CountingExecutor.built == executors
+        assert (peak - base) / v.nbytes <= limit
 
 
 def test_out_of_the_wrong_kind_rejected():
