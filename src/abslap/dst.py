@@ -131,10 +131,6 @@ class SineTransform:
             raise ValueError(f"transform size must be >= 1, got {n}")
         self.n = n
 
-    @property
-    def size(self) -> int:
-        return self.n * self.n
-
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """2D transform of a flat vector or of each row of a stack; same shape out.
 

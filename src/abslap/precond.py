@@ -34,14 +34,18 @@ from .saddle import SaddleOperator, Shift
 
 
 class SpectralPreconditioner:
-    """Block-diagonal operator W diag(weights) W per half, W the 2D DST."""
+    """Block-diagonal operator W diag(weights) W per half, W the 2D DST.
 
-    def __init__(self, grid: GridSpec, weights: np.ndarray, gamma: float):
+    weights holds one positive weight per sine mode, in the order of
+    grid.laplacian_eigenvalues; build_ideal and build_averaged make the
+    absolute value's, and any other rule's weights make a preconditioner
+    the same way.
+    """
+
+    def __init__(self, grid: GridSpec, weights: np.ndarray):
         self.grid = grid
         self.weights = weights
-        self.gamma = gamma
         self.transform = SineTransform(grid.n)
-        self.m = grid.m
 
     def apply_inverse(self, w: np.ndarray) -> np.ndarray:
         """Apply P^-1 to a stacked vector: one transform pair over both block halves.
@@ -51,13 +55,13 @@ class SpectralPreconditioner:
         modified.
         """
         t = self.transform
-        x = t.apply(stacked_halves(w, self.m))
+        x = t.apply(stacked_halves(w, self.grid.m))
         x /= self.weights
         return t.apply(x, out=x).ravel()
 
     def apply_inverse_in_sine_basis(self, w: np.ndarray) -> np.ndarray:
         """W P^-1 W w, W the 2D sine transform on each half: a divide by the weights."""
-        return (stacked_halves(w, self.m) / self.weights).ravel()
+        return (stacked_halves(w, self.grid.m) / self.weights).ravel()
 
     def materialize_block(self, exponent: float = 1.0) -> np.ndarray:
         """Dense m-by-m matrix of one diagonal block at the given power.
@@ -75,9 +79,9 @@ class SpectralPreconditioner:
     def materialize(self, exponent: float = 1.0) -> np.ndarray:
         """Dense 2m-by-2m block-diagonal materialization."""
         block = self.materialize_block(exponent)
-        out = np.zeros((2 * self.m, 2 * self.m))
-        out[:self.m, :self.m] = block
-        out[self.m:, self.m:] = block
+        m = self.grid.m
+        out = np.zeros((2 * m, 2 * m))
+        out[:m, :m] = out[m:, m:] = block
         return out
 
 
@@ -109,7 +113,7 @@ def _build(grid: GridSpec, shift: Shift, gamma: float) -> SpectralPreconditioner
             "singular preconditioner: beta = 0 and alpha cancels the Laplacian "
             f"eigenvalue {-shift.alpha:g} (mode index {idx})"
         )
-    return SpectralPreconditioner(grid, weights, gamma)
+    return SpectralPreconditioner(grid, weights)
 
 
 def sine_basis(operator: SaddleOperator, precond: SpectralPreconditioner) -> Basis:

@@ -50,17 +50,12 @@ class SaddleOperator:
     def __init__(self, k_op: StencilOperator, shift: Shift):
         self.k_op = k_op
         self.shift = shift
-        self.m = k_op.grid.m
-
-    @property
-    def size(self) -> int:
-        return 2 * self.m
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A v, the alpha and beta terms added to each row block of the
         stencil's output while it is in cache."""
         n = self.k_op.grid.n
-        swapped = stacked_halves(v, self.m).reshape(2, n, n)[::-1]  # (v2; v1)
+        swapped = stacked_halves(v, n * n).reshape(2, n, n)[::-1]  # (v2; v1)
         out = np.empty(swapped.shape)
         # (K v2 + alpha v2 + beta v1; K v1 + alpha v1 - beta v2)
         for rows in self.k_op.apply_in_blocks(swapped, out, extra=2):
@@ -84,7 +79,7 @@ class SaddleOperator:
             raise ValueError("the sine transform diagonalizes only the "
                              f"constant-coefficient stencil, not {self.k_op.kind!r}")
         n = self.k_op.grid.n
-        swapped = stacked_halves(v, self.m).reshape(2, n, n)[::-1]  # (v2; v1)
+        swapped = stacked_halves(v, n * n).reshape(2, n, n)[::-1]  # (v2; v1)
         lam1 = axis_eigenvalues(self.k_op.grid)
         out = np.empty(swapped.shape)
         for rows in blocks(n, 8 * n * 2 * 3):  # rows of three (2, n, n) stacks
@@ -103,8 +98,8 @@ class SaddleOperator:
     def dense(self) -> np.ndarray:
         k = self.k_op.dense()
         alpha, beta = self.shift.alpha, self.shift.beta
-        shifted = k + alpha * np.eye(self.m)
-        eye = np.eye(self.m)
+        eye = np.eye(len(k))
+        shifted = k + alpha * eye
         return np.block([[beta * eye, shifted], [shifted, -beta * eye]])
 
 

@@ -60,7 +60,6 @@ class BoundSet:
     """Interval bounds for the preconditioned spectrum and derived rates."""
 
     branch: str
-    gamma: float
     mu0: float
     mu0_tilde: float
     mu1_tilde: float
@@ -185,7 +184,7 @@ def compute_bounds(coefficient: CoefficientField, c0: float, shift: Shift) -> Bo
         )
         branch = BRANCH_ALPHA_NEG_VALID if all(conditions) else BRANCH_VIOLATED
 
-    return BoundSet(branch, gamma, mu0, mu0_tilde, mu1_tilde, theta1, theta2)
+    return BoundSet(branch, mu0, mu0_tilde, mu1_tilde, theta1, theta2)
 
 
 def _certified_bounds(grid: GridSpec, coefficient: CoefficientField, shift: Shift):

@@ -38,7 +38,6 @@ def test_degenerate_blocks_with_zero_stencil():
 def test_hand_assembled_two_by_two():
     k_op = assemble_laplacian_2d_constant(GridSpec(1, 2))  # K = [[16]]
     op = SaddleOperator(k_op, Shift(1.0, 2.0))
-    assert op.size == 2
     np.testing.assert_allclose(op.dense(), [[2.0, 17.0], [17.0, -2.0]], rtol=0, atol=0)
     np.testing.assert_allclose(op.apply(np.array([1.0, 0.0])), [2.0, 17.0], rtol=0, atol=0)
 
@@ -50,7 +49,7 @@ def test_block_apply_matches_dense_quadratic_form():
     dense = op.dense()
     rng = np.random.default_rng(5)
     for _ in range(10):
-        v = rng.standard_normal(op.size)
+        v = rng.standard_normal(2 * grid.m)
         lhs = float(v @ op.apply(v))
         rhs = float(v @ (dense @ v))
         assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
@@ -62,7 +61,7 @@ def test_block_apply_matches_per_half_formula():
     k_op = assemble_laplacian_2d_variable(grid, separable_quadratic_coefficient())
     alpha, beta = -600.0, 150.0
     op = SaddleOperator(k_op, Shift(alpha, beta))
-    v = np.random.default_rng(6).standard_normal(op.size)
+    v = np.random.default_rng(6).standard_normal(2 * grid.m)
     kept = v.copy()
     v1, v2 = v[:grid.m], v[grid.m:]
     expected = np.concatenate([k_op.apply(v2) + alpha * v2 + beta * v1,
@@ -77,7 +76,7 @@ def test_sine_basis_apply_is_the_rotated_operator():
     op = SaddleOperator(assemble_laplacian_2d_constant(grid), Shift(-7.0, 4.0))
     s = sine_matrix(grid.n)
     w = np.kron(np.eye(2), np.kron(s, s))
-    v = np.random.default_rng(8).standard_normal(op.size)
+    v = np.random.default_rng(8).standard_normal(2 * grid.m)
     kept = v.copy()
     expected = w @ (op.dense() @ (w @ v))
     out = op.apply_in_sine_basis(v)
@@ -97,8 +96,8 @@ def test_operator_symmetry():
     rng = np.random.default_rng(9)
     scale = 441.0 * 8.0 / grid.h ** 2
     for _ in range(20):
-        u = rng.standard_normal(op.size)
-        v = rng.standard_normal(op.size)
+        u = rng.standard_normal(2 * grid.m)
+        v = rng.standard_normal(2 * grid.m)
         lhs = float(u @ op.apply(v))
         rhs = float(v @ op.apply(u))
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(v) * scale
@@ -182,7 +181,7 @@ def test_length_validation():
 def _reference_block_apply(op, v):
     """A v by the whole-array formulas: the stencil on both halves, then the shift."""
     alpha, beta = op.shift.alpha, op.shift.beta
-    swapped = v.reshape(2, op.m)[::-1]
+    swapped = v.reshape(2, op.k_op.grid.m)[::-1]
     out = _reference_apply(op.k_op, swapped)
     scratch = alpha * swapped
     out += scratch
@@ -215,7 +214,7 @@ def _check_blocked_applies(grid, rng):
         for k_op in (assemble_laplacian_2d_constant(grid),
                      assemble_laplacian_2d_variable(grid, coefficient)):
             op = SaddleOperator(k_op, shift)
-            v = rng.standard_normal(op.size)
+            v = rng.standard_normal(2 * grid.m)
             kept = v.copy()
             np.testing.assert_array_equal(op.apply(v), _reference_block_apply(op, v))
             if k_op.kind == "constant_laplacian":

@@ -111,7 +111,6 @@ def test_bounds_variable_coefficient_nonneg():
     assert b.mu0 == pytest.approx(math.sqrt(2.0 * 441.0 / 400.0), rel=1e-15)
     assert b.mu0 == pytest.approx(1.48492, abs=1e-5)
     assert b.theta1 == pytest.approx(0.37598, abs=1e-5)
-    assert b.gamma == 420.0
 
 
 def test_bounds_negative_shift_worked_value():
