@@ -33,6 +33,7 @@ to the solver, so f is freed before the solve.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -47,7 +48,8 @@ from .grid import (KIND_CONSTANT, CoefficientField, GridSpec,
 from .minres import SolverConfig, minres_solve
 from .precond import build_averaged, build_ideal, sine_basis
 from .saddle import SaddleOperator, Shift, saddle_rhs
-from .spectral import VERIFY_CAP_2D, certificate_payload, iteration_bound, verify_spectrum
+from .spectral import (VERIFY_CAP_2D, certificate_blocks, certificate_payload, iteration_bound,
+                       verify_spectrum)
 
 GOLDEN = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -248,8 +250,17 @@ def _solve_block(k_op, shift: Shift, precond, b, config: SolverConfig):
     return minres_solve(operator.apply, apply_pinv, b, config, basis=basis)
 
 
+def _lazy_blocks(grid: GridSpec, coefficient):
+    """A callable that builds the grid's certificate_blocks on its first call
+    and returns the same blocks on every later one."""
+    return functools.cache(functools.partial(certificate_blocks, grid, coefficient))
+
+
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
-    """Run the sweep row by row; failures are recorded, not raised."""
+    """Run the sweep row by row; failures are recorded, not raised.  A grid's
+    certificate blocks are built by its first row that verifies, which
+    carries their cost in its wall_time, and dropped after the grid's last
+    row."""
     coefficient = coefficient_from_spec(spec.coefficient)
     # one independent substream seed per row, drawn from the spec's stream
     row_count = len(spec.grid_sizes) * len(spec.shifts)
@@ -261,6 +272,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
             k_op = assemble_laplacian_2d_constant(grid)
         else:
             k_op = assemble_laplacian_2d_variable(grid, coefficient)
+        grid_blocks = _lazy_blocks(grid, coefficient)
         for alpha, beta in spec.shifts:
             shift = Shift(float(alpha), float(beta))
             row = ReportRow(n=n, dof=2 * n * n, alpha=shift.alpha, beta=shift.beta,
@@ -268,14 +280,16 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
                             bound_iterations=None, spectrum_verdict="skipped",
                             converged=False)
             try:
-                _run_row(spec, coefficient, grid, k_op, shift, next(seeds), row)
+                _run_row(spec, coefficient, grid, k_op, shift, next(seeds), row, grid_blocks)
             except (ValueError, RuntimeError) as exc:
                 row.error = str(exc)
             rows.append(row)
+        del grid_blocks
     return rows
 
 
-def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: ReportRow):
+def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: ReportRow,
+             grid_blocks):
     start = time.perf_counter()
     if spec.preconditioner == "ideal":
         precond = build_ideal(grid, shift)
@@ -298,7 +312,7 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
         row.bound_iterations = iteration_bound(grid, coefficient, shift, spec.tol)
     # rows above the dense cap cannot be verified and stay "skipped"
     if min(spec.verify_spectrum_up_to, VERIFY_CAP_2D) >= grid.n and precond is not None:
-        row.spectrum_verdict = verify_spectrum(grid, coefficient, shift).verdict
+        row.spectrum_verdict = verify_spectrum(grid, coefficient, shift, grid_blocks()).verdict
     row.wall_time = time.perf_counter() - start
     # Free the solution and the right-hand side before the preconditioner.
     # CPython clears a frame's locals in the order they first appear, which
@@ -314,12 +328,21 @@ def _run_row(spec: ExperimentSpec, coefficient, grid, k_op, shift, seed, row: Re
 def certify(spec: ExperimentSpec) -> list:
     """(grid, shift, SpectrumCertificate) for each grid size and shift of the
     sweep, in row order, from one verify_spectrum call each, looked up in this
-    module.  A shift the certificate cannot take, such as one whose
-    preconditioner weights overflow, raises its ValueError."""
+    module.  Each grid's certificate blocks are built once, at its first
+    shift, and passed to every shift's call.  A shift the certificate cannot
+    take, such as one whose preconditioner weights overflow, raises its
+    ValueError; its weights are built first, so it raises before any dense
+    work."""
     coefficient = coefficient_from_spec(spec.coefficient)
     shifts = [Shift(float(alpha), float(beta)) for alpha, beta in spec.shifts]
-    return [(grid, shift, verify_spectrum(grid, coefficient, shift))
-            for grid in map(GridSpec, spec.grid_sizes) for shift in shifts]
+    certs = []
+    for grid in map(GridSpec, spec.grid_sizes):
+        grid_blocks = _lazy_blocks(grid, coefficient)
+        for shift in shifts:
+            build_averaged(grid, coefficient, shift)  # refuses the shift before the blocks
+            certs.append((grid, shift, verify_spectrum(grid, coefficient, shift, grid_blocks())))
+        del grid_blocks
+    return certs
 
 
 def all_clear(rows: list[ReportRow]) -> bool:

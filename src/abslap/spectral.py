@@ -25,7 +25,9 @@ Four pieces of machinery live here:
   sqrt(2)/2 <= z*sqrt(H1^2+H2^2)z / z*(H1+H2)z <= 1 for commuting PSD pairs.
   Each block B takes its K_b from the stencil's own scatter,
   StencilOperator.block, and its W_b from the 1D sine matrix; this module
-  reads none of the stencil's arrays.  B's singular values are the square
+  reads none of the stencil's arrays.  W_b K_b W_b does not depend on the
+  shift: certificate_blocks builds it once per grid, and a sweep hands it to
+  every shift's verify_spectrum.  B's singular values are the square
   roots of the eigenvalues of the Hermitian B*B, one eigensolve per block.
   Squaring puts an error of about eps sigma_max^2 / sigma_k on sigma_k, far
   below SPECTRUM_SLACK while sigma_min >~ 1e-7 sigma_max; an eigenvalue
@@ -41,7 +43,7 @@ import numpy as np
 
 from .dst import sine_matrix
 from .grid import (CoefficientField, GridSpec, StencilOperator, assemble_laplacian_2d_variable,
-                   smallest_laplacian_eigenvalue, swap_blocks)
+                   blocks as row_blocks, smallest_laplacian_eigenvalue, swap_blocks)
 from .minres import bound_iterations
 from .precond import build_averaged
 from .saddle import Shift
@@ -218,17 +220,44 @@ def iteration_bound(grid: GridSpec, coefficient: CoefficientField, shift: Shift,
     return bound_iterations(outer, inner, inner, outer, tol)
 
 
-def _wkw_block(k_op: StencilOperator, s: np.ndarray, i, j, sign: float, c) -> np.ndarray:
-    """W_b K_b W_b on one basis of swap_blocks: K_b scattered by k_op.block,
-    W_b from products of S's entries (W[ij, kl] = S[i, k] S[j, l])."""
+def _wkw_block(k_op: StencilOperator, s: np.ndarray, i, j, sign: float, c, out: np.ndarray):
+    """W_b K_b W_b on one basis of swap_blocks, written into out: K_b scattered
+    by k_op.block, W_b from products of S's entries (W[ij, kl] = S[i, k] S[j, l])."""
     w = s[np.ix_(i, i)] * s[np.ix_(j, j)]
     if sign:
         w += sign * (s[np.ix_(i, j)] * s[np.ix_(j, i)])
     w *= np.outer(c, c)
-    return w @ k_op.block(i, j, sign, c) @ w
+    return np.matmul(w @ k_op.block(i, j, sign, c), w, out=out)
 
 
-def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift) -> SpectrumCertificate:
+def certificate_blocks(grid: GridSpec, coefficient: CoefficientField) -> tuple:
+    """The shift-independent part of verify_spectrum: one (i, j, G0) per block
+    of grid.swap_blocks, basis vector r on the pair (i_r, j_r) and
+    G0 = W_b K_b W_b.  They depend on the grid and the coefficient alone, so
+    a sweep builds them once per grid and hands them to every shift's
+    verify_spectrum.  The G0 are views of one contiguous store, and every
+    array is read-only, so no certificate can change another's input.
+    Capped at n <= VERIFY_CAP_2D like verify_spectrum."""
+    if grid.n > VERIFY_CAP_2D:
+        raise ValueError(f"dense verification capped at n={VERIFY_CAP_2D}, got {grid.n}")
+    k_op = assemble_laplacian_2d_variable(grid, coefficient)
+    s = sine_matrix(grid.n)
+    bases = swap_blocks(grid.n, k_op.swap_symmetric)
+    store = np.empty(sum(i.size ** 2 for i, *_ in bases))
+    blocks, lo = [], 0
+    for i, j, sign, c in bases:
+        g0 = store[lo:lo + i.size ** 2].reshape(i.size, i.size)
+        lo += i.size ** 2
+        _wkw_block(k_op, s, i, j, sign, c, g0)
+        for a in (i, j, g0):
+            a.flags.writeable = False
+        blocks.append((i, j, g0))
+    store.flags.writeable = False
+    return tuple(blocks)
+
+
+def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift,
+                    blocks: tuple | None = None) -> SpectrumCertificate:
     """Dense check that the preconditioned spectrum sits in the certified intervals.
 
     The spectrum of T = P^(-1/2) A P^(-1/2) is +-sigma, sigma the singular
@@ -273,6 +302,13 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     back slightly negative, so it is clipped at 0 before the square root,
     which would otherwise return NaN.
 
+    blocks is the grid's certificate_blocks, the blocks' W_b K_b W_b, which
+    do not depend on the shift; when None they are built here.  A shift
+    sweep builds them once per grid and passes them to every shift: each
+    shift then forms d_b (G0 + alpha I) d_b from them, and the bits are
+    those of a call that builds its own.  The weights come first,
+    so a shift they cannot take is refused before any dense work.
+
     For an exact coefficient (a_min equal to a_max) P is the exact block
     absolute value (spectrum +-1), so the sqrt(2 a_max / a_min) interval
     (1/mu0, mu0) certifies every shift.  A variable coefficient failing the
@@ -282,21 +318,37 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift)
     if grid.n > VERIFY_CAP_2D:
         raise ValueError(f"dense verification capped at n={VERIFY_CAP_2D}, got {grid.n}")
 
-    k_op = assemble_laplacian_2d_variable(grid, coefficient)
-    n = grid.n
+    # the weights refuse a shift they cannot take before any dense work
     scale = build_averaged(grid, coefficient, shift).weights ** -0.5
-    s = sine_matrix(n)
+    if blocks is None:
+        blocks = certificate_blocks(grid, coefficient)
+    elif (given := sum(i.size for i, _, _ in blocks)) != grid.m:
+        raise ValueError(f"blocks of {given} basis vectors given for a grid of {grid.m} points")
+    n = grid.n
     sigma = []
-    for i, j, sign, c in swap_blocks(n, k_op.swap_symmetric):
-        g = _wkw_block(k_op, s, i, j, sign, c)
-        g.flat[::i.size + 1] += shift.alpha
+    for i, j, g0 in blocks:
+        size = i.size
         d = scale[i * n + j]
-        g *= np.outer(d, d)
+        # h is allocated before g: in that order glibc's allocator reuses the
+        # previous block's freed memory for both, and a certify_n31
+        # experiment faults in about 14k fresh pages, against 17k with g
+        # first and 31k when h is also freed at the end of each block
+        h = np.empty(g0.shape, complex)
+        # g = d_b (G0 + alpha I) d_b a row chunk at a time, from the products
+        # the whole-matrix steps take: G0 d_r d_c off the diagonal and
+        # (G0 + alpha) d_r^2 on it
+        g = np.empty(g0.shape)
+        for rows in row_blocks(size, 2 * 8 * size):
+            np.multiply(g0[rows], np.outer(d[rows], d), out=g[rows])
+        g.flat[::size + 1] = (g0.diagonal() + shift.alpha) * (d * d)
         e = shift.beta * (d * d)
-        h = np.empty(g.shape, complex)
         h.real = g @ g
-        h.real.flat[::i.size + 1] += e * e
-        h.imag = g * (e[None, :] - e[:, None])
+        h.real.flat[::size + 1] += e * e
+        # elementwise, so row chunks, two temporaries and h's row in flight,
+        # give the whole product's bits
+        for rows in row_blocks(size, 3 * 8 * size):
+            h.imag[rows] = g[rows] * (e[None, :] - e[rows, None])
+        del g  # before the eigensolve's own copy of h
         sigma.append(np.sqrt(np.maximum(np.linalg.eigvalsh(h), 0.0)))
     sigma = np.sort(np.concatenate(sigma))
     eigenvalues = np.concatenate([-sigma[::-1], sigma])

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from abslap import spectral
 from abslap.bench import (
     COEFFICIENT_NAMES,
     CSV_HEADER,
@@ -18,6 +19,7 @@ from abslap.bench import (
     RandomStream,
     ReportRow,
     all_clear,
+    certify,
     coefficient_from_spec,
     emit_report,
     generate_rhs,
@@ -381,6 +383,43 @@ def test_constant_sweep_takes_two_iterations():
         assert row.dof == 2 * row.n * row.n
         assert row.true_residual <= 10.0 * spec.tol
         assert row.spectrum_verdict == ("pass" if row.n <= 7 else "skipped")
+
+
+def _count_block_builds(monkeypatch) -> list:
+    """The grid size of every W_b K_b W_b the certificate layer builds from now on."""
+    built = []
+    wkw_block = spectral._wkw_block
+
+    def counting(k_op, *args):
+        built.append(k_op.grid.n)
+        return wkw_block(k_op, *args)
+
+    monkeypatch.setattr(spectral, "_wkw_block", counting)
+    return built
+
+
+def test_a_grid_builds_its_certificate_blocks_once_for_all_its_rows(monkeypatch):
+    # two blocks for n=7 shared by its six verified rows; n=15 is above the
+    # verification limit and without a preconditioner nothing is verified
+    built = _count_block_builds(monkeypatch)
+    spec = ExperimentSpec(grid_sizes=(7, 15), coefficient="example2_poly",
+                          verify_spectrum_up_to=7)
+    rows = run_experiment(spec)
+    assert len(spec.shifts) == 6 and all_clear(rows)
+    assert [r.spectrum_verdict for r in rows] == ["pass"] * 6 + ["skipped"] * 6
+    assert built == [7, 7]
+    built.clear()
+    rows = run_experiment(ExperimentSpec(grid_sizes=(7, 15), coefficient="example2_poly",
+                                         preconditioner="none", verify_spectrum_up_to=7))
+    assert [r.spectrum_verdict for r in rows] == ["skipped"] * 12
+    assert built == []
+
+
+def test_certify_builds_its_blocks_once_per_grid(monkeypatch):
+    built = _count_block_builds(monkeypatch)
+    certs = certify(ExperimentSpec(grid_sizes=(3, 7), coefficient="example2_poly"))
+    assert len(certs) == 12
+    assert built == [3, 3, 7, 7]
 
 
 def test_variable_sweep_iterations_stay_flat():

@@ -251,6 +251,25 @@ def test_shift_the_library_refuses_is_a_usage_error(capsys, monkeypatch, argv, m
     assert message in _usage_error_text(capsys, argv)
 
 
+@pytest.mark.parametrize("coef", ("example2", "const"))
+def test_bench_row_that_overflows_builds_no_certificate_blocks(capsys, monkeypatch, coef):
+    # the row's preconditioner build refuses the shift before the grid's
+    # certificate blocks, the first dense work, are built
+    import abslap.spectral
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("built a certificate block")
+
+    monkeypatch.setattr(abslap.spectral, "sine_matrix", no_run)
+    monkeypatch.setattr(abslap.spectral, "_wkw_block", no_run)
+    code = main(["bench", "--coef", coef, "--n", "3", "--alpha", "1e200", "--beta", "1",
+                 "--verify-spectrum-up-to", "3", "--format", "json"])
+    row = json.loads(capsys.readouterr().out)[0]
+    assert code == 1
+    assert "preconditioner weights overflow" in row["error"]
+    assert row["spectrum_verdict"] == "skipped"
+
+
 def test_overflowing_krylov_vectors_are_named_in_the_row_error(capsys):
     # without a preconditioner nothing refuses the shift before MINRES, whose
     # first inner product overflows to inf

@@ -32,6 +32,7 @@ from abslap.spectral import (
     SpectrumCertificate,
     abs_block_2x2,
     block_matrix,
+    certificate_blocks,
     certificate_payload,
     compute_bounds,
     iteration_bound,
@@ -329,10 +330,61 @@ def test_split_singular_values_match_the_full_matrix(n, coefficient):
         assert np.abs(got - expected).max() <= 1e-13, (n, shift)
 
 
+# both default sweeps, each shift once, and a shift far past resonance
+SHARED_BLOCK_SHIFTS = tuple(dict.fromkeys(DEFAULT_CONSTANT_SHIFTS + DEFAULT_VARIABLE_SHIFTS
+                                          + ((-9000.0, 10.0),)))
+
+
+@pytest.mark.parametrize("n", (1, 3, 7, 15))
+@pytest.mark.parametrize("coefficient", COEFFICIENTS, ids=COEFFICIENT_IDS)
+def test_shared_blocks_give_the_same_certificate_bit_for_bit(n, coefficient):
+    """One grid's certificate_blocks, handed to every shift, give each
+    certificate exactly what verify_spectrum gives when it builds them."""
+    grid = GridSpec(n, 2)
+    blocks = certificate_blocks(grid, coefficient)
+    assert sum(i.size for i, _, _ in blocks) == grid.m
+    for alpha, beta in SHARED_BLOCK_SHIFTS:
+        shift = Shift(alpha, beta)
+        shared = verify_spectrum(grid, coefficient, shift, blocks)
+        alone = verify_spectrum(grid, coefficient, shift)
+        assert np.array_equal(shared.eigenvalues, alone.eigenvalues), (alpha, beta)
+        assert (shared.interval_lo_pos, shared.interval_hi_pos) == (alone.interval_lo_pos,
+                                                                    alone.interval_hi_pos)
+        assert (shared.branch, shared.certified, shared.verdict) == (alone.branch, alone.certified,
+                                                                     alone.verdict)
+        assert shared.max_violation == alone.max_violation
+
+
+def test_certificate_blocks_are_read_only_and_unchanged_by_a_sweep():
+    grid, coefficient = GridSpec(7, 2), separable_quadratic_coefficient()
+    blocks = certificate_blocks(grid, coefficient)
+    # the two blocks' G0 are views of one contiguous store
+    (_, _, g_sym), (_, _, g_anti) = blocks
+    store = g_sym.base
+    assert store is g_anti.base and store.flags.c_contiguous
+    assert store.size == g_sym.size + g_anti.size == 28 ** 2 + 21 ** 2
+    before = [_sha256(a) for block in blocks for a in block]
+    for a in (store, *(a for block in blocks for a in block)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    for alpha, beta in SHARED_BLOCK_SHIFTS:
+        verify_spectrum(grid, coefficient, Shift(alpha, beta), blocks)
+    assert [_sha256(a) for block in blocks for a in block] == before
+
+
+def test_blocks_of_another_grid_are_refused():
+    coefficient = separable_quadratic_coefficient()
+    with pytest.raises(ValueError, match="blocks of 49 basis vectors given for a grid of 9"):
+        verify_spectrum(GridSpec(3, 2), coefficient, Shift(1.0, 1.0),
+                        certificate_blocks(GridSpec(7, 2), coefficient))
+
+
 def test_verify_spectrum_caps():
     poly = separable_quadratic_coefficient()
     with pytest.raises(ValueError):
         verify_spectrum(GridSpec(63, 2), poly, Shift(1.0, 1.0))
+    with pytest.raises(ValueError, match="capped at n=31, got 63"):
+        certificate_blocks(GridSpec(63, 2), poly)
     with pytest.raises(ValueError):
         verify_spectrum(GridSpec(3, 1), poly, Shift(1.0, 1.0))
 
