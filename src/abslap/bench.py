@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (KIND_CONSTANT, CoefficientField, GridSpec,
-                   assemble_laplacian_2d_constant, assemble_laplacian_2d_variable,
-                   blocks, constant_coefficient, separable_quadratic_coefficient)
+from .grid import (CoefficientField, GridSpec, assemble_laplacian_2d_constant,
+                   assemble_laplacian_2d_variable, blocks, constant_coefficient,
+                   separable_quadratic_coefficient)
 from .minres import SolverConfig, minres_solve
 from .precond import build_averaged, build_ideal, sine_basis
 from .saddle import SaddleOperator, Shift, saddle_rhs
@@ -231,11 +231,12 @@ def generate_rhs(grid: GridSpec, k_op, shift: Shift, seed: int):
 def solve_shifted(k_op, shift: Shift, precond, f, config: SolverConfig):
     """Solve (K + (alpha + beta i) I) z = f by MINRES on the real block system.
 
-    precond=None solves unpreconditioned.  A preconditioner with the constant
-    stencil solves in the sine basis, where A and P are diagonal: 2
-    transforms per solve, not 2 per P^-1 apply.  Makes one minres_solve
-    call, looked up in this module, and returns its (x, SolveReport) with x
-    the stacked (Re z; Im z) in the original basis.
+    precond=None solves unpreconditioned.  A preconditioner solves in the
+    basis precond.sine_basis gives, which it does for the constant stencil:
+    A and P are diagonal there, so a solve makes 2 transforms, not 2 per
+    P^-1 apply.  Makes one minres_solve call, looked up in this module, and
+    returns its (x, SolveReport) with x the stacked (Re z; Im z) in the
+    original basis.
     """
     return _solve_block(k_op, shift, precond, saddle_rhs(f), config)
 
@@ -244,9 +245,7 @@ def _solve_block(k_op, shift: Shift, precond, b, config: SolverConfig):
     """solve_shifted on the block right-hand side b = saddle_rhs(f)."""
     operator = SaddleOperator(k_op, shift)
     apply_pinv = precond.apply_inverse if precond is not None else None
-    basis = None
-    if precond is not None and k_op.kind == KIND_CONSTANT:
-        basis = sine_basis(operator, precond)
+    basis = sine_basis(operator, precond) if precond is not None else None
     return minres_solve(operator.apply, apply_pinv, b, config, basis=basis)
 
 

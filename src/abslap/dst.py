@@ -142,10 +142,8 @@ class SineTransform:
         """
         x = grid_stack(v, self.n)
         if out is None:
-            out = x.copy()
-            _dst2(out)
-            return out.reshape(np.shape(v))
-        if (not isinstance(out, np.ndarray) or out.shape != np.shape(v)
+            out = np.empty(np.shape(v))
+        elif (not isinstance(out, np.ndarray) or out.shape != np.shape(v)
                 or out.dtype != np.float64 or not out.flags.c_contiguous):
             raise ValueError(f"out must be a C-contiguous float64 array of shape "
                              f"{np.shape(v)}, got {getattr(out, 'shape', type(out))}")

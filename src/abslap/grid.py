@@ -85,9 +85,11 @@ class CoefficientField:
     a_max: float
 
     def __post_init__(self):
-        if not (0.0 < self.a_min <= self.a_max):
+        # an infinite a_max makes every weight inf and P^-1 zero, which a
+        # certificate over [0, inf] would then pass
+        if not (0.0 < self.a_min <= self.a_max < math.inf):
             raise ValueError(
-                f"need 0 < a_min <= a_max, got [{self.a_min}, {self.a_max}]"
+                f"need 0 < a_min <= a_max < inf, got [{self.a_min}, {self.a_max}]"
             )
 
     @property

@@ -39,6 +39,7 @@ busy-waits on a core that the sine transform's threads need.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,6 +56,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < 1.0):
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
+        # a float max_iter would fail far from here, in the loop's range()
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 

@@ -15,10 +15,14 @@ variant replaces K with gamma L, gamma = sqrt(a_min a_max), keeping the
 same diagonal application while the spectral bounds control the quality of
 the approximation.
 
-In the sine basis itself either preconditioner is a divide by its weights,
-and for K = L the block operator is diagonal there too.  sine_basis bundles
-the transform and both diagonal applies for minres_solve, which then makes
-two transforms per solve instead of two per preconditioner apply.
+In the sine basis itself any such preconditioner is a divide by its
+weights, and for the constant stencil K = L the block operator is diagonal
+there too.  sine_basis is the one place that knows this: it decides from
+the stencil whether the basis applies, and bundles the transform and both
+diagonal applies for minres_solve, which then makes two transforms per
+solve instead of two per preconditioner apply.  The operator's apply there
+walks its stacks in row blocks sized by grid.BLOCK_BYTES, and each element
+goes through the same operations as in a whole-array evaluation.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import math
 import numpy as np
 
 from .dst import SineTransform, sine_matrix
-from .grid import DENSE_CAP_2D, CoefficientField, GridSpec, laplacian_eigenvalues, stacked_halves
+from .grid import (DENSE_CAP_2D, KIND_CONSTANT, CoefficientField, GridSpec, axis_eigenvalues,
+                   blocks, laplacian_eigenvalues, stacked_halves)
 from .minres import Basis
 from .saddle import SaddleOperator, Shift
 
@@ -58,10 +63,6 @@ class SpectralPreconditioner:
         x = t.apply(stacked_halves(w, self.grid.m))
         x /= self.weights
         return t.apply(x, out=x).ravel()
-
-    def apply_inverse_in_sine_basis(self, w: np.ndarray) -> np.ndarray:
-        """W P^-1 W w, W the 2D sine transform on each half: a divide by the weights."""
-        return (stacked_halves(w, self.grid.m) / self.weights).ravel()
 
     def materialize_block(self, exponent: float = 1.0) -> np.ndarray:
         """Dense m-by-m matrix of one diagonal block at the given power.
@@ -116,22 +117,45 @@ def _build(grid: GridSpec, shift: Shift, gamma: float) -> SpectralPreconditioner
     return SpectralPreconditioner(grid, weights)
 
 
-def sine_basis(operator: SaddleOperator, precond: SpectralPreconditioner) -> Basis:
-    """MINRES's operators in the 2D sine basis, for a constant-coefficient stencil.
+def sine_basis(operator: SaddleOperator, precond: SpectralPreconditioner) -> Basis | None:
+    """MINRES's operators in the 2D sine basis, or None unless the operator's
+    stencil is the constant one, the only stencil the transform diagonalizes.
 
-    W is the preconditioner's transform on both halves of a stacked vector;
-    the operator and the preconditioner are diagonal there.  Any spectral
-    preconditioner qualifies, since its weights are its eigenvalues in that
-    basis.
+    W is the preconditioner's transform on both halves of a stacked vector.
+    There W P^-1 W divides by the weights, for any weight rule, since the
+    weights are P's eigenvalues in that basis.  W A W is [[beta I, Lambda +
+    alpha I], [Lambda + alpha I, -beta I]], Lambda the Laplacian eigenvalues,
+    and applies elementwise one row block at a time; each block forms its
+    rows of Lambda + alpha from the one-axis eigenvalues, rounded as the
+    weights are, so no m-length array but the output is made.
     """
+    if operator.k_op.kind != KIND_CONSTANT:
+        return None
     t = precond.transform
+    grid, shift = operator.k_op.grid, operator.shift
+    n = grid.n
+    lam1 = axis_eigenvalues(grid)
 
     def transform(v, out=None):
         halves = None if out is None else out.reshape(2, -1)
         return t.apply(v.reshape(2, -1), out=halves).ravel()
 
-    return Basis(transform, operator.apply_in_sine_basis,
-                 precond.apply_inverse_in_sine_basis)
+    def apply_a(v):
+        swapped = stacked_halves(v, n * n).reshape(2, n, n)[::-1]  # (v2; v1)
+        out = np.empty(swapped.shape)
+        for rows in blocks(n, 8 * n * 2 * 3):  # rows of three (2, n, n) stacks
+            o = out[:, rows]
+            lam = lam1[rows, None] + lam1[None, :]
+            lam += shift.alpha
+            np.multiply(swapped[:, rows], lam, out=o)
+            o[0] += swapped[1, rows] * shift.beta
+            o[1] -= swapped[0, rows] * shift.beta
+        return out.ravel()
+
+    def apply_pinv(w):
+        return (stacked_halves(w, precond.grid.m) / precond.weights).ravel()
+
+    return Basis(transform, apply_a, apply_pinv)
 
 
 def build_ideal(grid: GridSpec, shift: Shift) -> SpectralPreconditioner:

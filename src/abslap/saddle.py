@@ -10,16 +10,14 @@ The first block row matches the imaginary part of the complex equation and
 the second the real part; saddle_rhs builds that right-hand side, and
 real_to_complex unstacks the solution (z1; z2) into z1 + z2 i.
 
-For the constant-coefficient stencil K = L the 2D sine transform W
-diagonalizes K, so W A W (W on each half) has four diagonal blocks;
-SaddleOperator.apply_in_sine_basis applies it elementwise.
-
-Both applies walk the (2, n, n) stack of halves in row blocks sized by
-grid.BLOCK_BYTES, so their temporaries are block-sized.  apply adds the
-alpha and beta terms to each block of the stencil's output while it is
-still in cache, so each input row is read from memory once per block.  Every
-element goes through the same operations, in the same order, as in a
-whole-array evaluation, so the results do not depend on the block size.
+apply walks the (2, n, n) stack of halves in row blocks sized by
+grid.BLOCK_BYTES, so its temporaries are block-sized.  It adds the alpha
+and beta terms to each block of the stencil's output while it is still in
+cache, so each input row is read from memory once per block.  Every element
+goes through the same operations, in the same order, as in a whole-array
+evaluation, so the result does not depend on the block size.  The operator
+in the sine basis, where the constant stencil makes it diagonal, belongs to
+precond.sine_basis.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import KIND_CONSTANT, StencilOperator, axis_eigenvalues, blocks, stacked_halves
+from .grid import StencilOperator, stacked_halves
 
 
 @dataclass(frozen=True)
@@ -61,39 +59,9 @@ class SaddleOperator:
         for rows in self.k_op.apply_in_blocks(swapped, out, extra=2):
             o = out[:, rows]
             o += swapped[:, rows] * self.shift.alpha
-            self._add_beta_terms(swapped, rows, o)
+            o[0] += swapped[1, rows] * self.shift.beta
+            o[1] -= swapped[0, rows] * self.shift.beta
         return out.ravel()
-
-    def apply_in_sine_basis(self, v: np.ndarray) -> np.ndarray:
-        """W A W v, W the 2D sine transform on each half, for the constant stencil.
-
-        The transform diagonalizes K = L with the Laplacian eigenvalues
-        Lambda, so in that basis the operator is [[beta I, Lambda + alpha I],
-        [Lambda + alpha I, -beta I]] and applies elementwise, one row block
-        at a time.  Each block forms its rows of Lambda + alpha from the
-        one-axis eigenvalues, so no m-length array but the output is made.
-        Raises ValueError for a variable-coefficient stencil, which the
-        transform does not diagonalize.
-        """
-        if self.k_op.kind != KIND_CONSTANT:
-            raise ValueError("the sine transform diagonalizes only the "
-                             f"constant-coefficient stencil, not {self.k_op.kind!r}")
-        n = self.k_op.grid.n
-        swapped = stacked_halves(v, n * n).reshape(2, n, n)[::-1]  # (v2; v1)
-        lam1 = axis_eigenvalues(self.k_op.grid)
-        out = np.empty(swapped.shape)
-        for rows in blocks(n, 8 * n * 2 * 3):  # rows of three (2, n, n) stacks
-            o = out[:, rows]
-            lam = lam1[rows, None] + lam1[None, :]
-            lam += self.shift.alpha  # Lambda + alpha, rounded as the preconditioner's weights
-            np.multiply(swapped[:, rows], lam, out=o)
-            self._add_beta_terms(swapped, rows, o)
-        return out.ravel()
-
-    def _add_beta_terms(self, swapped, rows, o) -> None:
-        """o += (beta v1; -beta v2) on one row block of both halves."""
-        o[0] += swapped[1, rows] * self.shift.beta
-        o[1] -= swapped[0, rows] * self.shift.beta
 
     def dense(self) -> np.ndarray:
         k = self.k_op.dense()

@@ -357,6 +357,8 @@ def test_experiment_spec_validation():
     for tol, max_iter in ((0.0, 10), (1.0, 10), (2.0, 10), (1e-8, 0), (1e-8, -1)):
         with pytest.raises(ValueError):
             ExperimentSpec(tol=tol, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        ExperimentSpec(grid_sizes=(7,), max_iter=2.5)
     # the text table keys rows by (n, alpha, beta), so a repeated grid size,
     # or a shift repeated by value, would show two rows as one
     with pytest.raises(ValueError, match="grid sizes must not repeat"):

@@ -72,6 +72,11 @@ def test_coefficient_fields():
         CoefficientField(lambda x1, x2: x1, a_min=0.0, a_max=1.0)
     with pytest.raises(ValueError):
         CoefficientField(lambda x1, x2: x1, a_min=2.0, a_max=1.0)
+    # an infinite bound makes the weights inf and P^-1 zero, which a
+    # certificate over [0, inf] would pass
+    for a_min, a_max in ((400.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="need 0 < a_min <= a_max < inf"):
+            CoefficientField(lambda x1, x2: x1, a_min=a_min, a_max=a_max)
     # a constant field's positivity is CoefficientField's bound check
     for value in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="need 0 < a_min <= a_max"):

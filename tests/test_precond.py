@@ -19,7 +19,7 @@ from abslap.grid import (
 )
 from abslap.oracle import dense_abs, ideal_preconditioner_dense
 from abslap.minres import SolverConfig
-from abslap.precond import SpectralPreconditioner, build_averaged, build_ideal
+from abslap.precond import SpectralPreconditioner, build_averaged, build_ideal, sine_basis
 from abslap.saddle import SaddleOperator, Shift
 
 
@@ -73,6 +73,12 @@ def test_inverse_forward_round_trip_and_zero():
     np.testing.assert_array_equal(p.apply_inverse(np.zeros(2 * grid.m)), np.zeros(2 * grid.m))
 
 
+def _sine_basis_pinv(p, w):
+    """W P^-1 W w through the basis sine_basis gives p with the constant stencil."""
+    op = SaddleOperator(assemble_laplacian_2d_constant(p.grid), Shift(1.0, 1.0))
+    return sine_basis(op, p).apply_pinv(w)
+
+
 def test_sine_basis_inverse_is_the_rotated_inverse():
     grid = GridSpec(15, 2)
     p = build_ideal(grid, Shift(-100.0, 1.0))
@@ -83,7 +89,7 @@ def test_sine_basis_inverse_is_the_rotated_inverse():
         return p.transform.apply(v.reshape(2, grid.m)).ravel()
 
     expected = rotate(p.apply_inverse(rotate(w)))
-    out = p.apply_inverse_in_sine_basis(w)
+    out = _sine_basis_pinv(p, w)
     np.testing.assert_array_equal(w, kept)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
@@ -236,7 +242,7 @@ def test_length_and_dimension_validation():
     with pytest.raises(ValueError):
         p.apply_inverse(np.zeros(17))
     with pytest.raises(ValueError):
-        p.apply_inverse_in_sine_basis(np.zeros(17))
+        _sine_basis_pinv(p, np.zeros(17))
     with pytest.raises(ValueError):
         build_averaged(GridSpec(3, 1), separable_quadratic_coefficient(), Shift(1.0, 1.0))
 
