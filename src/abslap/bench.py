@@ -37,6 +37,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -160,6 +161,10 @@ class ExperimentSpec:
     def __post_init__(self):
         # each rule has one owner, which raises on a bad value
         SolverConfig(self.tol, self.max_iter)
+        # a float would run truncated or abort the sweep after a row's solve
+        for name in ("seed", "verify_spectrum_up_to"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         coefficient_from_spec(self.coefficient)
         _, shifts, preconditioner = _COEFFICIENTS[self.coefficient]
         if self.shifts is None:
@@ -372,7 +377,7 @@ def emit_report(rows: list[ReportRow], format: str = "text_table") -> str:
         return strict_json([_row_payload(r) for r in rows])
     if format == "csv":
         return _delimited(CSV_HEADER, ([
-            r.n, r.dof, f"{r.alpha:g}", f"{r.beta:g}", r.iterations,
+            r.n, r.dof, _number(r.alpha), _number(r.beta), r.iterations,
             f"{r.wall_time:.6g}",
             f"{r.true_residual:.6e}" if math.isfinite(r.true_residual) else "inf",
             "n/a" if r.bound_iterations is None else r.bound_iterations,
@@ -391,10 +396,16 @@ def emit_certificates(certs: list, format: str = "json") -> str:
     if format not in ("csv", "text_table"):
         raise ValueError(f"unknown report format {format!r}")
     return _delimited(CERTIFICATE_HEADER, ([
-        grid.n, f"{shift.alpha:g}", f"{shift.beta:g}", cert.branch, cert.certified,
+        grid.n, _number(shift.alpha), _number(shift.beta), cert.branch, cert.certified,
         f"{cert.interval_lo_pos:.12g}", f"{cert.interval_hi_pos:.12g}",
         cert.all_inside, f"{cert.max_violation:.6e}",
     ] for grid, shift, cert in certs), "\t" if format == "text_table" else ",")
+
+
+def _number(x: float) -> str:
+    """x in its shortest round-trip form with a trailing ".0" dropped, 100.0 as
+    "100": two distinct shifts never print alike, as they can with :g."""
+    return repr(float(x)).removesuffix(".0")
 
 
 def _delimited(header: str, rows, delimiter: str = ",") -> str:
@@ -416,7 +427,7 @@ def _text_table(rows: list[ReportRow]) -> str:
     by_key = {(r.n, r.alpha, r.beta): r for r in rows}
 
     width = 16
-    head1 = f"{'':>12}" + "".join(f"{f'({a:g},{b:g})':>{width}}" for a, b in shifts)
+    head1 = f"{'':>12}" + "".join(f"{f'({_number(a)},{_number(b)})':>{width}}" for a, b in shifts)
     head2 = f"{'n':>5}{'dof':>7}" + "".join(f"{'iter':>6}{'time':>10}" for _ in shifts)
     lines = [head1, head2]
     for n in sizes:

@@ -328,13 +328,15 @@ def assemble_laplacian_2d_variable(grid: GridSpec, coefficient: CoefficientField
     half = (np.arange(n + 1) + 0.5) * h
     ax = np.asarray(coefficient.evaluator(half[:, None], centers[None, :]), dtype=float)
     ay = np.asarray(coefficient.evaluator(centers[:, None], half[None, :]), dtype=float)
+    # every comparison with NaN is False, so each check is written to fail
+    # on a NaN sample, which min and max propagate
     for direction, arr in (("first-coordinate", ax), ("second-coordinate", ay)):
-        if arr.min() <= 0.0:
+        if not arr.min() > 0.0:
             raise ValueError(f"coefficient sample <= 0 on a {direction} edge midpoint")
     lo, hi = coefficient.a_min, coefficient.a_max
     slack = 1e-12 * max(1.0, hi)
     for arr in (ax, ay):
-        if arr.min() < lo - slack or arr.max() > hi + slack:
+        if not (arr.min() >= lo - slack and arr.max() <= hi + slack):
             raise ValueError(
                 f"coefficient sample outside certified range [{lo}, {hi}]: "
                 f"saw [{arr.min()}, {arr.max()}]"

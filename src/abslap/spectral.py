@@ -27,7 +27,11 @@ Four pieces of machinery live here:
   StencilOperator.block, and its W_b from the 1D sine matrix; this module
   reads none of the stencil's arrays.  W_b K_b W_b does not depend on the
   shift: certificate_blocks builds it once per grid, and a sweep hands it to
-  every shift's verify_spectrum.  B's singular values are the square
+  every shift's verify_spectrum.  The blocks name the grid and coefficient
+  they were built for, and verify_spectrum's one check of its input refuses
+  them for any other pair.  Under the cap n <= VERIFY_CAP_2D no block
+  exceeds 496 x 496 doubles, about 2 MB, so each step on a block is one
+  whole-matrix expression.  B's singular values are the square
   roots of the eigenvalues of the Hermitian B*B, one eigensolve per block.
   Squaring puts an error of about eps sigma_max^2 / sigma_k on sigma_k, far
   below SPECTRUM_SLACK while sigma_min >~ 1e-7 sigma_max; an eigenvalue
@@ -43,7 +47,7 @@ import numpy as np
 
 from .dst import sine_matrix
 from .grid import (CoefficientField, GridSpec, StencilOperator, assemble_laplacian_2d_variable,
-                   blocks as row_blocks, smallest_laplacian_eigenvalue, swap_blocks)
+                   smallest_laplacian_eigenvalue, swap_blocks)
 from .minres import bound_iterations
 from .precond import build_averaged
 from .saddle import Shift
@@ -231,13 +235,16 @@ def _wkw_block(k_op: StencilOperator, s: np.ndarray, i, j, sign: float, c, out: 
 
 
 def certificate_blocks(grid: GridSpec, coefficient: CoefficientField) -> tuple:
-    """The shift-independent part of verify_spectrum: one (i, j, G0) per block
-    of grid.swap_blocks, basis vector r on the pair (i_r, j_r) and
+    """The shift-independent part of verify_spectrum, with the problem it
+    belongs to: ((grid, coefficient), blocks), one (i, j, G0) in blocks per
+    block of grid.swap_blocks, basis vector r on the pair (i_r, j_r) and
     G0 = W_b K_b W_b.  They depend on the grid and the coefficient alone, so
     a sweep builds them once per grid and hands them to every shift's
-    verify_spectrum.  The G0 are views of one contiguous store, and every
-    array is read-only, so no certificate can change another's input.
-    Capped at n <= VERIFY_CAP_2D like verify_spectrum."""
+    verify_spectrum, which refuses them for another (grid, coefficient).
+    The pair compares with ==, a coefficient by its bounds and its evaluator
+    object.  The G0 are views of one contiguous store, and every array is
+    read-only, so no certificate can change another's input.  Capped at
+    n <= VERIFY_CAP_2D, the one place this module checks the cap."""
     if grid.n > VERIFY_CAP_2D:
         raise ValueError(f"dense verification capped at n={VERIFY_CAP_2D}, got {grid.n}")
     k_op = assemble_laplacian_2d_variable(grid, coefficient)
@@ -253,7 +260,7 @@ def certificate_blocks(grid: GridSpec, coefficient: CoefficientField) -> tuple:
             a.flags.writeable = False
         blocks.append((i, j, g0))
     store.flags.writeable = False
-    return tuple(blocks)
+    return (grid, coefficient), tuple(blocks)
 
 
 def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift,
@@ -268,7 +275,8 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift,
     J T J^T = -T for J = [[0, I], [-I, 0]]: the spectrum is +- symmetric.
     T^2 is the real form of M*M, M = Q^(-1/2) (K + lambda I) Q^(-1/2), so it
     has each sigma^2 twice; M_hat = W M W (W^2 = I) has M's singular values.
-    No transform or stencil apply of the fast path enters.  Capped at n <= 31.
+    No transform or stencil apply of the fast path enters.  Capped at n <= 31
+    by certificate_blocks.
     K is assembled from the coefficient's edge samples for every coefficient;
     the unit coefficient's samples give the Laplacian's K bit for bit.
 
@@ -302,12 +310,16 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift,
     back slightly negative, so it is clipped at 0 before the square root,
     which would otherwise return NaN.
 
-    blocks is the grid's certificate_blocks, the blocks' W_b K_b W_b, which
-    do not depend on the shift; when None they are built here.  A shift
-    sweep builds them once per grid and passes them to every shift: each
-    shift then forms d_b (G0 + alpha I) d_b from them, and the bits are
-    those of a call that builds its own.  The weights come first,
-    so a shift they cannot take is refused before any dense work.
+    blocks is certificate_blocks(grid, coefficient), the blocks' W_b K_b W_b,
+    which do not depend on the shift, with the (grid, coefficient) they were
+    built for; when None they are built here.  Blocks built for another pair
+    are refused, the one check of this input: it also covers the cap, which
+    certificate_blocks checks, and the blocks' size.  A shift sweep builds
+    them once per grid and passes them to every shift: each shift then forms
+    d_b (G0 + alpha I) d_b from them, and the bits are those of a call that
+    builds its own.  Each step on a block is a whole-matrix expression; at
+    n <= 31 no block exceeds about 2 MB.  The weights come first, so a shift
+    they cannot take is refused before any dense work.
 
     For an exact coefficient (a_min equal to a_max) P is the exact block
     absolute value (spectrum +-1), so the sqrt(2 a_max / a_min) interval
@@ -315,39 +327,29 @@ def verify_spectrum(grid: GridSpec, coefficient: CoefficientField, shift: Shift,
     negative-shift sign conditions is still measured, but its interval
     proves nothing and the certificate is marked uncertified.
     """
-    if grid.n > VERIFY_CAP_2D:
-        raise ValueError(f"dense verification capped at n={VERIFY_CAP_2D}, got {grid.n}")
-
     # the weights refuse a shift they cannot take before any dense work
     scale = build_averaged(grid, coefficient, shift).weights ** -0.5
-    if blocks is None:
-        blocks = certificate_blocks(grid, coefficient)
-    elif (given := sum(i.size for i, _, _ in blocks)) != grid.m:
-        raise ValueError(f"blocks of {given} basis vectors given for a grid of {grid.m} points")
-    n = grid.n
+    built_for, blocks = blocks or certificate_blocks(grid, coefficient)
+    if built_for != (grid, coefficient):
+        raise ValueError("certificate blocks were built for another grid or coefficient")
     sigma = []
     for i, j, g0 in blocks:
-        size = i.size
-        d = scale[i * n + j]
-        # h is allocated before g: in that order glibc's allocator reuses the
-        # previous block's freed memory for both, and a certify_n31
-        # experiment faults in about 14k fresh pages, against 17k with g
-        # first and 31k when h is also freed at the end of each block
+        d = scale[i * grid.n + j]
+        # h is allocated, replacing the previous block's, then g, and only then
+        # the product that fills g: in that order glibc's allocator reuses the
+        # previous block's freed memory, and a certify_n31 experiment faults
+        # in about 11.7k fresh pages, against 13.2k with h and g made in one
+        # statement and 14.4k for g = g0 * np.outer(d, d)
         h = np.empty(g0.shape, complex)
-        # g = d_b (G0 + alpha I) d_b a row chunk at a time, from the products
-        # the whole-matrix steps take: G0 d_r d_c off the diagonal and
-        # (G0 + alpha) d_r^2 on it
         g = np.empty(g0.shape)
-        for rows in row_blocks(size, 2 * 8 * size):
-            np.multiply(g0[rows], np.outer(d[rows], d), out=g[rows])
-        g.flat[::size + 1] = (g0.diagonal() + shift.alpha) * (d * d)
+        # g = d_b (G0 + alpha I) d_b: G0 d_r d_c off the diagonal and
+        # (G0 + alpha) d_r^2 on it
+        np.multiply(g0, np.outer(d, d), out=g)
+        g.flat[::i.size + 1] = (g0.diagonal() + shift.alpha) * (d * d)
         e = shift.beta * (d * d)
         h.real = g @ g
-        h.real.flat[::size + 1] += e * e
-        # elementwise, so row chunks, two temporaries and h's row in flight,
-        # give the whole product's bits
-        for rows in row_blocks(size, 3 * 8 * size):
-            h.imag[rows] = g[rows] * (e[None, :] - e[rows, None])
+        h.real.flat[::i.size + 1] += e * e
+        h.imag = g * (e[None, :] - e[:, None])
         del g  # before the eigensolve's own copy of h
         sigma.append(np.sqrt(np.maximum(np.linalg.eigvalsh(h), 0.0)))
     sigma = np.sort(np.concatenate(sigma))
@@ -380,8 +382,9 @@ def verify_sandwich(h1_diag: np.ndarray, h2_diag: np.ndarray, trials: int = 1000
     h2 = np.asarray(h2_diag, dtype=float)
     if h1.shape != h2.shape or h1.ndim != 1:
         raise ValueError("diagonals must be one-dimensional and of equal length")
-    if np.any(h1 < 0.0) or np.any(h2 < 0.0):
-        raise ValueError("diagonals must be entrywise nonnegative")
+    # written so that NaN fails it too: a NaN or inf entry would report no violation
+    if not all(np.all((0.0 <= h) & (h < math.inf)) for h in (h1, h2)):
+        raise ValueError("diagonals must be finite and entrywise nonnegative")
     if np.any(h1 + h2 == 0.0):
         raise ValueError("H1 and H2 must not both vanish in the same entry")
     if trials < 1:

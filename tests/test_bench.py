@@ -21,6 +21,7 @@ from abslap.bench import (
     all_clear,
     certify,
     coefficient_from_spec,
+    emit_certificates,
     emit_report,
     generate_rhs,
     run_experiment,
@@ -359,6 +360,14 @@ def test_experiment_spec_validation():
             ExperimentSpec(tol=tol, max_iter=max_iter)
     with pytest.raises(ValueError, match="max_iter must be an integer"):
         ExperimentSpec(grid_sizes=(7,), max_iter=2.5)
+    # seed and verify_spectrum_up_to must be integers, checked when the spec is made
+    for seed in ("abc", 1.5, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ExperimentSpec(grid_sizes=(7,), seed=seed)
+    for up_to in (None, "31", 7.5):
+        with pytest.raises(ValueError, match="verify_spectrum_up_to must be an integer"):
+            ExperimentSpec(grid_sizes=(7,), verify_spectrum_up_to=up_to)
+    ExperimentSpec(grid_sizes=(7,), seed=np.uint64(3), verify_spectrum_up_to=np.int64(7))
     # the text table keys rows by (n, alpha, beta), so a repeated grid size,
     # or a shift repeated by value, would show two rows as one
     with pytest.raises(ValueError, match="grid sizes must not repeat"):
@@ -554,6 +563,18 @@ def test_emit_text_table_layout():
     assert len(lines) == 4  # two header lines plus one line per grid size
     assert lines[2].lstrip().startswith("7")
     assert lines[3].lstrip().startswith("15")
+
+
+def test_distinct_shifts_print_as_distinct_rows_and_columns():
+    # :g keeps six significant digits, which printed these two shifts alike
+    spec = ExperimentSpec(grid_sizes=(3,), shifts=((1.0, 1.0), (1.0000001, 1.0)))
+    rows = run_experiment(spec)
+    parsed = list(csv.reader(io.StringIO(emit_report(rows, "csv"))))[1:]
+    assert [row[:4] for row in parsed] == [["3", "18", "1", "1"], ["3", "18", "1.0000001", "1"]]
+    head = emit_report(rows, "text_table").split("\n")[0].split()
+    assert head == ["(1,1)", "(1.0000001,1)"]
+    certs = list(csv.reader(io.StringIO(emit_certificates(certify(spec), "csv"))))[1:]
+    assert [row[:3] for row in certs] == [["3", "1", "1"], ["3", "1.0000001", "1"]]
 
 
 def test_emit_report_error_channels():

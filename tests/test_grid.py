@@ -279,6 +279,12 @@ def test_coefficient_sample_validation():
     zero = CoefficientField(lambda x1, x2: 0.0 * x1 * x2, 1e-13, 1.0)
     with pytest.raises(ValueError, match="sample <= 0"):
         assemble_laplacian_2d_variable(grid, zero)
+    # a NaN sample compares False with everything, so it must fail the checks
+    # rather than slip past them
+    nan = CoefficientField(lambda x1, x2: np.where((x1 < 0.2) & (x2 < 0.3), np.nan, 1.0),
+                           1.0, 1.0)
+    with pytest.raises(ValueError, match="sample <= 0"):
+        assemble_laplacian_2d_variable(grid, nan)
 
 
 def _reference_apply(op, u):

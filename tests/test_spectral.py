@@ -342,7 +342,9 @@ def test_shared_blocks_give_the_same_certificate_bit_for_bit(n, coefficient):
     certificate exactly what verify_spectrum gives when it builds them."""
     grid = GridSpec(n, 2)
     blocks = certificate_blocks(grid, coefficient)
-    assert sum(i.size for i, _, _ in blocks) == grid.m
+    built_for, parts = blocks
+    assert built_for == (grid, coefficient)
+    assert sum(i.size for i, _, _ in parts) == grid.m
     for alpha, beta in SHARED_BLOCK_SHIFTS:
         shift = Shift(alpha, beta)
         shared = verify_spectrum(grid, coefficient, shift, blocks)
@@ -359,24 +361,30 @@ def test_certificate_blocks_are_read_only_and_unchanged_by_a_sweep():
     grid, coefficient = GridSpec(7, 2), separable_quadratic_coefficient()
     blocks = certificate_blocks(grid, coefficient)
     # the two blocks' G0 are views of one contiguous store
-    (_, _, g_sym), (_, _, g_anti) = blocks
+    _, parts = blocks
+    (_, _, g_sym), (_, _, g_anti) = parts
     store = g_sym.base
     assert store is g_anti.base and store.flags.c_contiguous
     assert store.size == g_sym.size + g_anti.size == 28 ** 2 + 21 ** 2
-    before = [_sha256(a) for block in blocks for a in block]
-    for a in (store, *(a for block in blocks for a in block)):
+    before = [_sha256(a) for block in parts for a in block]
+    for a in (store, *(a for block in parts for a in block)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     for alpha, beta in SHARED_BLOCK_SHIFTS:
         verify_spectrum(grid, coefficient, Shift(alpha, beta), blocks)
-    assert [_sha256(a) for block in blocks for a in block] == before
+    assert [_sha256(a) for block in parts for a in block] == before
 
 
 def test_blocks_of_another_grid_are_refused():
     coefficient = separable_quadratic_coefficient()
-    with pytest.raises(ValueError, match="blocks of 49 basis vectors given for a grid of 9"):
+    with pytest.raises(ValueError, match="built for another grid or coefficient"):
         verify_spectrum(GridSpec(3, 2), coefficient, Shift(1.0, 1.0),
                         certificate_blocks(GridSpec(7, 2), coefficient))
+    # same grid, same basis-vector count, another coefficient's K
+    grid = GridSpec(7, 2)
+    with pytest.raises(ValueError, match="built for another grid or coefficient"):
+        verify_spectrum(grid, coefficient, Shift(100.0, 100.0),
+                        certificate_blocks(grid, constant_coefficient(1.0)))
 
 
 def test_verify_spectrum_caps():
@@ -420,6 +428,12 @@ def test_sandwich_validation():
         verify_sandwich(ones, np.ones(4))
     with pytest.raises(ValueError):
         verify_sandwich(ones, ones, trials=0)
+    # a non-finite entry would give no violation at all
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="diagonals must be finite and entrywise nonnegative"):
+            verify_sandwich([1.0, bad, 2.0], ones)
+        with pytest.raises(ValueError, match="diagonals must be finite and entrywise nonnegative"):
+            verify_sandwich(ones, [1.0, 1.0, bad])
 
 
 def test_mediant_inequality_randomized():
