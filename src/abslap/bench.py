@@ -426,21 +426,24 @@ def _text_table(rows: list[ReportRow]) -> str:
     sizes = list(dict.fromkeys(r.n for r in rows))
     by_key = {(r.n, r.alpha, r.beta): r for r in rows}
 
-    width = 16
-    head1 = f"{'':>12}" + "".join(f"{f'({_number(a)},{_number(b)})':>{width}}" for a, b in shifts)
-    head2 = f"{'n':>5}{'dof':>7}" + "".join(f"{'iter':>6}{'time':>10}" for _ in shifts)
+    heads = [f"({_number(a)},{_number(b)})" for a, b in shifts]
+    # 16 characters, or wider so that the longest head keeps a space before it
+    width = max(16, 1 + max(map(len, heads)))
+    it = width - 10  # the iter cell; the time cell takes 10
+    head1 = f"{'':>12}" + "".join(f"{head:>{width}}" for head in heads)
+    head2 = f"{'n':>5}{'dof':>7}" + "".join(f"{'iter':>{it}}{'time':>10}" for _ in shifts)
     lines = [head1, head2]
     for n in sizes:
         cells = []
         for a, b in shifts:
             r = by_key.get((n, a, b))
             if r is None:
-                cells.append(f"{'-':>6}{'-':>10}")
+                cells.append(f"{'-':>{it}}{'-':>10}")
             elif r.error is not None:
-                cells.append(f"{'err':>6}{'-':>10}")
+                cells.append(f"{'err':>{it}}{'-':>10}")
             else:
                 mark = "" if r.converged else "*"
-                cells.append(f"{str(r.iterations) + mark:>6}{r.wall_time:>10.3f}")
+                cells.append(f"{str(r.iterations) + mark:>{it}}{r.wall_time:>10.3f}")
         lines.append(f"{n:>5}{2 * n * n:>7}" + "".join(cells))
     lines.append("")
     return "\n".join(lines)

@@ -21,17 +21,31 @@ grid.blocks so that a block's buffer, spectrum and rows fit in
 grid.BLOCK_BYTES, the budget every blocked pass of the solve shares; so no
 full-size extension, transposed copy or intermediate is ever made.
 
-A pass's (array, block) tasks are independent, so the caller and one thread
-per further core the process may run on, from an executor that lives for
-one transform, take them from one shared queue, each with its own buffer.
-Every block is read and written by one task with the serial arithmetic, and
-the row pass starts once the column pass is done, so the result is
-bit-identical to a serial pass.  numpy's FFT, copies and products release
-the interpreter lock, so the blocks run in parallel.  A shared queue rather
-than one fixed chunk per thread lets the caller start at once and take over
-the blocks of a thread that starts late or whose core is busy.  A grid whose
-half spans fewer than _SPLIT_BLOCKS blocks (n < 623) is transformed in the
-caller alone and starts no thread.
+A task is a group of blocks, the same block of consecutive arrays of the
+stack, and makes one copy in, one FFT, one scale and one copy back.  On a
+small grid those calls' overhead, not the FFT, sets the time, so arrays are
+grouped while the group's spectrum, its largest temporary, fits in a
+quarter of grid.BLOCK_BYTES (128 KiB): a (2, m) stack is one group up to
+n = 63, and so a pass is one FFT call.  The quarter keeps each temporary
+below glibc's default mmap threshold, also 128 KiB.  Larger groups were
+slower, their temporaries faulted in afresh on every transform: with no
+cap, a (2, m) group at n = 113 faulted 340 pages per transform and took 1.8
+times as long as one task per array.  An array with n >= 64 has a
+spectrum above half the cap, so it is a group of one; larger grids, whose
+arrays span several blocks, make one task per (array, block).
+
+A pass's tasks are independent, so the caller and one thread per further
+core the process may run on, from an executor that lives for one
+transform, take them from one shared queue, each with its own buffer.
+Every block is read and written by one task with the serial arithmetic,
+and the FFT transforms each row of its input alone, so a group gives the
+bits its arrays give one at a time; the row pass starts once the column
+pass is done, so the result is bit-identical to a serial pass.  numpy's
+FFT, copies and products release the interpreter lock, so the tasks run in
+parallel.  A shared queue rather than one fixed chunk per thread lets the
+caller start at once and take over the tasks of a thread that starts late
+or whose core is busy.  A grid whose half spans fewer than _SPLIT_BLOCKS
+blocks (n < 623) is transformed in the caller alone and starts no thread.
 """
 
 from __future__ import annotations
@@ -69,13 +83,14 @@ def _cores() -> int:
 
 
 def _pass_tasks(tasks, lock, rows: int, n: int) -> None:
-    """a = a @ S in place for each block a taken from the shared iterator
+    """a = a @ S in place for each task a taken from the shared iterator
     `tasks`, under `lock`, until it is exhausted.
 
-    A block is a (width, n) view whose rows are the sequences to transform:
-    columns of a grid array, transposed, or its rows.  Runs in the caller or
-    in a pool worker; each call owns its extension buffer of `rows` rows,
-    and the lock hands every block to exactly one call.
+    A task is a (width, n) view, one block whose rows are the sequences to
+    transform: columns of a grid array, transposed, or its rows; or a
+    (count, width, n) view, that block of count arrays.  Runs in the caller
+    or in a pool worker; each call owns its extension buffer of `rows` rows,
+    and the lock hands every task to exactly one call.
     """
     scale = -math.sqrt(2.0 / (n + 1))
     ext = np.zeros((rows, 2 * (n + 1)))  # columns 0 and n+1.. stay zero
@@ -84,33 +99,40 @@ def _pass_tasks(tasks, lock, rows: int, n: int) -> None:
             a = next(tasks, None)
         if a is None:
             return
-        e = ext[:len(a)]
-        e[:, 1:n + 1] = a
+        e = ext[:a.size // n].reshape(*a.shape[:-1], -1)
+        e[..., 1:n + 1] = a
         # scaled whole: numpy walks the imaginary part as one flat run, where
         # a slice of its columns would take two 64 KB iteration buffers
         sums = np.fft.rfft(e).imag
         np.multiply(sums, scale, out=sums)
-        a[...] = sums[:, 1:n + 1]
-        del sums  # the spectrum goes before the next block makes its own
+        a[...] = sums[..., 1:n + 1]
+        del sums  # the spectrum goes before the next task makes its own
 
 
 def _dst2(x: np.ndarray) -> None:
     """x[b] = S x[b] S in place for each n-by-n array of a stack: a column
-    pass, then a row pass, over the same blocks.
+    pass, then a row pass, over the same (group, block) tasks.
 
     A grid whose half spans fewer than _SPLIT_BLOCKS blocks runs in the
     caller alone; a larger one splits each pass across every core: the
-    caller and `workers - 1` calls on the pool take the (array, block)
-    tasks from one shared queue.
+    caller and `workers - 1` calls on the pool take the tasks from one
+    shared queue.
     """
     n = x.shape[-1]
     cuts = blocks(n, 16 * (n + 1) + 16 * (n + 2) + 8 * n)
-    workers = min(_cores(), len(x) * len(cuts)) if len(cuts) >= _SPLIT_BLOCKS else 1
+    groups = blocks(len(x), 4 * 16 * (n + 2) * n)  # spectra in a quarter of the budget
+    workers = min(_cores(), len(groups) * len(cuts)) if len(cuts) >= _SPLIT_BLOCKS else 1
+    rows = cuts[0].stop * (groups[0].stop if groups else 0)  # the first task's, the largest
+    # a group of one is indexed by its array, so its tasks are the 2D blocks
+    # of an ungrouped pass: 3D views there raised the peak RSS of perfbench's
+    # ideal_n1023 runs from 152 to 167 MB
+    groups = [g.start if g.stop - g.start == 1 else g for g in groups]
     with ThreadPoolExecutor(workers - 1) if workers > 1 else contextlib.nullcontext() as pool:
         # block by block across the stack: threads taking consecutive tasks
         # then write different arrays, not cache lines at a block's edge
-        for views in ((a[:, c].T for c in cuts for a in x), (a[c] for c in cuts for a in x)):
-            args = (views, threading.Lock(), cuts[0].stop, n)  # buffer rows: the first block's
+        for views in ((x[g, :, c].swapaxes(-1, -2) for c in cuts for g in groups),
+                      (x[g, c] for c in cuts for g in groups)):
+            args = (views, threading.Lock(), rows, n)
             futures = [pool.submit(_pass_tasks, *args) for _ in range(workers - 1)]
             _pass_tasks(*args)
             for future in futures:

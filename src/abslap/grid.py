@@ -121,7 +121,8 @@ def separable_quadratic_coefficient() -> CoefficientField:
 # Bytes one block of a pass touches: about a quarter of a core's 2 MB L2
 # cache, so a block is read from memory once and its temporaries stay in
 # cache.  The stencil, the block operator, MINRES's vector updates and the
-# sine transform's column blocks all cut their ranges by it, through blocks().
+# sine transform's column blocks and groups of arrays all cut their ranges
+# by it, through blocks().
 BLOCK_BYTES = 512 * 1024
 
 

@@ -41,6 +41,7 @@ Four pieces of machinery live here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,6 +388,10 @@ def verify_sandwich(h1_diag: np.ndarray, h2_diag: np.ndarray, trials: int = 1000
         raise ValueError("diagonals must be finite and entrywise nonnegative")
     if np.any(h1 + h2 == 0.0):
         raise ValueError("H1 and H2 must not both vanish in the same entry")
+    # a float would escape as a TypeError from range() or the seed sequence
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
 

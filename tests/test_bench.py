@@ -565,6 +565,49 @@ def test_emit_text_table_layout():
     assert lines[3].lstrip().startswith("15")
 
 
+def _table_rows(sizes, shifts):
+    """Fixed rows over sizes x shifts: a non-converged third shift, an error
+    in the fifth shift's last row and no row for the sixth shift's last."""
+    rows = []
+    for n in sizes:
+        for k, (a, b) in enumerate(shifts):
+            if (n, k) == (sizes[-1], 5):
+                continue
+            rows.append(ReportRow(n=n, dof=2 * n * n, alpha=a, beta=b, iterations=12 + k,
+                                  wall_time=0.0125 * (k + 1), true_residual=1e-9,
+                                  bound_iterations=None, spectrum_verdict="skipped",
+                                  converged=k != 2, error="boom" if (n, k) == (sizes[-1], 4) else None))
+    return rows
+
+
+def test_text_table_columns_fit_the_longest_head():
+    # the default shifts keep 16-character columns, byte for byte
+    assert emit_report(_table_rows((7, 15), DEFAULT_VARIABLE_SHIFTS), "text_table") == (
+        "                  (-600,150)      (-100,-25)      (100,-100)      (-100,100)"
+        "        (-100,1)        (1,-100)\n"
+        "    n    dof  iter      time  iter      time  iter      time  iter      time"
+        "  iter      time  iter      time\n"
+        "    7     98    12     0.013    13     0.025   14*     0.038    15     0.050"
+        "    16     0.062    17     0.075\n"
+        "   15    450    12     0.013    13     0.025   14*     0.038    15     0.050"
+        "   err         -     -         -\n")
+    # a 23-character head widens every column to 24, with a space before each
+    # head, and each head ends over its iter/time pair
+    shifts = ((0.1 + 0.2, 1.0), (1.0, 123456.789012), (1.0, 2.0), (3.0, 4.0), (5.0, 6.0),
+              (7.0, 8.0))
+    lines = emit_report(_table_rows((3, 7), shifts), "text_table").rstrip("\n").split("\n")
+    assert lines[0].split() == ["(0.30000000000000004,1)", "(1,123456.789012)", "(1,2)",
+                                "(3,4)", "(5,6)", "(7,8)"]
+    assert {len(line) for line in lines} == {12 + 6 * 24}
+    for k in range(6):
+        column = [line[12 + 24 * k:12 + 24 * (k + 1)] for line in lines]
+        assert column[0][0] == " " and column[0].strip().startswith("(")
+        assert column[1] == f"{'iter':>14}{'time':>10}"
+        assert column[2].split() == [str(12 + k) + ("*" if k == 2 else ""),
+                                     f"{0.0125 * (k + 1):.3f}"]
+    assert lines[3][12 + 24 * 4:].split() == ["err", "-", "-", "-"]
+
+
 def test_distinct_shifts_print_as_distinct_rows_and_columns():
     # :g keeps six significant digits, which printed these two shifts alike
     spec = ExperimentSpec(grid_sizes=(3,), shifts=((1.0, 1.0), (1.0000001, 1.0)))

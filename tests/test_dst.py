@@ -124,6 +124,49 @@ def test_stacked_apply_matches_single_applies_and_reference():
         assert np.abs(fast - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
+# (n, rfft calls per pass for stacks of 1, 2 and 3 arrays): a group's spectra
+# fit in a quarter of the budget, so three arrays are one group up to n=51
+# and two up to n=63; at n=64 every array is its own task
+GROUPS = [(1, (1, 1, 1)), (2, (1, 1, 1)), (7, (1, 1, 1)), (31, (1, 1, 1)), (51, (1, 1, 1)),
+          (52, (1, 1, 2)), (63, (1, 1, 2)), (64, (1, 2, 3))]
+
+
+@pytest.mark.parametrize("n, calls", GROUPS)
+def test_grouped_stack_is_bit_equal_to_per_array_applies(monkeypatch, n, calls):
+    def no_executor(*args, **kwargs):
+        raise AssertionError("executor constructed")
+
+    monkeypatch.setattr(dst, "_cores", lambda: 3)
+    monkeypatch.setattr(dst, "ThreadPoolExecutor", no_executor)
+    rfft = np.fft.rfft
+    seen = []  # (ndim, sequences) of each rfft input
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda a: seen.append((a.ndim, a.size // a.shape[-1])) or rfft(a))
+    rng = np.random.default_rng(n)
+    threads = threading.active_count()
+    t = SineTransform(n)
+    for count, per_pass in zip((1, 2, 3), calls):
+        stack = rng.standard_normal((count, n * n))
+        singles = []
+        for v in stack:
+            seen.clear()
+            singles.append(t.apply(v))
+            assert seen == [(2, n), (2, n)]  # a group of one: an ungrouped pass's 2D block
+        seen.clear()
+        fast = t.apply(stack)
+        rows = [r for _, r in seen]
+        assert (seen[0][0] == 3) == (per_pass < count)  # a group of several: one 3D view
+        assert len(rows) == 2 * per_pass and sum(rows) == 2 * count * n
+        assert rows[0] == n * -(-count // per_pass)
+        np.testing.assert_array_equal(fast, singles)
+        in_place = stack.copy()
+        assert t.apply(in_place, out=in_place) is in_place
+        np.testing.assert_array_equal(in_place, fast)
+        ref = t.apply_reference(stack)
+        assert np.abs(fast - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert threading.active_count() == threads
+
+
 class CountingExecutor(ThreadPoolExecutor):
     built = 0
 

@@ -428,6 +428,12 @@ def test_sandwich_validation():
         verify_sandwich(ones, np.ones(4))
     with pytest.raises(ValueError):
         verify_sandwich(ones, ones, trials=0)
+    # a float escaped as a TypeError from range() or numpy's SeedSequence
+    with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+        verify_sandwich(ones, ones, trials=2.5)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        verify_sandwich(ones, ones, seed=1.5)
+    assert verify_sandwich(ones, np.zeros(3), trials=np.int64(3), seed=np.int64(4)) == 0.0
     # a non-finite entry would give no violation at all
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="diagonals must be finite and entrywise nonnegative"):
