@@ -29,8 +29,8 @@ quarter of grid.BLOCK_BYTES (128 KiB): a (2, m) stack is one group up to
 n = 63, and so a pass is one FFT call.  The quarter keeps each temporary
 below glibc's default mmap threshold, also 128 KiB.  Larger groups were
 slower, their temporaries faulted in afresh on every transform: with no
-cap, a (2, m) group at n = 113 faulted 340 pages per transform and took 1.8
-times as long as one task per array.  An array with n >= 64 has a
+cap, a (2, m) group at n = 113 faulted 342 pages per transform and took 1.1
+to 2.8 times as long as one task per array.  An array with n >= 64 has a
 spectrum above half the cap, so it is a group of one; larger grids, whose
 arrays span several blocks, make one task per (array, block).
 
